@@ -145,7 +145,7 @@ func benchCapacityPressure() (benchScenario, error) {
 	m := machine.MustNew(cfg)
 	e := mesif.New(m)
 	rec := &invariant.Recorder{}
-	detach := invariant.AttachIncremental(e, 16384, rec.Record)
+	detach := invariant.AttachIncremental(e, invariant.IncrementalOptions{Epoch: 16384}, rec.Record)
 	defer detach()
 
 	region := m.MustAlloc(0, 24*units.MiB)

@@ -150,26 +150,11 @@ func ChaosPlanAt(seed int64, rate float64) fault.Plan {
 	return p
 }
 
-// ChaosSweep runs the Table IV/V reproduction under each fault rate. Any
-// hard coherence violation after a point's measurements — a fault the
-// engine failed to recover from — aborts the sweep with an error; the
-// invariant checker is the sweep's acceptance gate.
-func ChaosSweep(seed int64, rates []float64) (ChaosResult, error) {
-	return ChaosSweepWith(seed, rates, true)
-}
-
-// ChaosSweepWith is ChaosSweep with Table V optional: the memory-latency
-// matrix is ~5x the cost of the L3 matrix, so smoke runs (CI, quick local
-// checks) skip it. Skipped points report a zero Table5 and "-" in the
-// summary row.
-func ChaosSweepWith(seed int64, rates []float64, includeT5 bool) (ChaosResult, error) {
-	return ChaosSweepOpts(seed, rates, ChaosOptions{IncludeT5: includeT5})
-}
-
 // ChaosOptions tunes ChaosSweepOpts.
 type ChaosOptions struct {
-	// IncludeT5 measures the memory-latency matrix too (see
-	// ChaosSweepWith).
+	// IncludeT5 measures the memory-latency matrix too. It is ~5x the
+	// cost of the L3 matrix, so smoke runs (CI, quick local checks) skip
+	// it; skipped points report a zero Table5 and "-" in the summary row.
 	IncludeT5 bool
 	// BundleDir, when non-empty, attaches a flight recorder to every
 	// point's engine and writes a repro bundle there when the point's
@@ -215,7 +200,11 @@ type ChaosOptions struct {
 	Protocol coherence.ID
 }
 
-// ChaosSweepOpts is the fully optioned chaos sweep.
+// ChaosSweepOpts runs the Table IV/V reproduction under each fault rate.
+// Unless o.Tolerate is set, any hard coherence violation after a point's
+// measurements — a fault the engine failed to recover from — aborts the
+// sweep with an error; the invariant checker is the sweep's acceptance
+// gate.
 func ChaosSweepOpts(seed int64, rates []float64, o ChaosOptions) (ChaosResult, error) {
 	return ChaosSweepCtx(context.Background(), seed, rates, o)
 }
@@ -321,15 +310,6 @@ func addChaosRow(t *report.Table, rate float64, pt ChaosPoint, includeT5 bool) {
 	)
 }
 
-// chaosPoint measures one fault rate (both matrices, no farm hooks).
-func chaosPoint(seed int64, rate float64) (ChaosPoint, error) {
-	rec, err := chaosPointRun(seed, rate, ChaosOptions{IncludeT5: true}, nil, false)
-	if err != nil {
-		return ChaosPoint{}, err
-	}
-	return rec.Point(true), nil
-}
-
 // sanitizeKey maps a point key to a filename-safe form.
 func sanitizeKey(key string) string {
 	return strings.Map(func(r rune) rune {
@@ -343,40 +323,21 @@ func sanitizeKey(key string) string {
 	}, key)
 }
 
-// chaosPointRun measures one fault rate: acquire a fault-injecting engine
-// (rearming the worker's pooled machine when the farm offers one, building
-// fresh otherwise), run the matrices, gate on the invariant checker, and
-// return the measured numbers. When the farm drives it (fc non-nil) and a
-// bundle directory is configured, a panic-capture hook is registered as
-// soon as the flight recorder exists, so even an early panic yields a
-// replayable bundle.
-func chaosPointRun(seed int64, rate float64, o ChaosOptions, fc *farm.Ctx, injectPanic bool) (chaosPointRec, error) {
-	plan := ChaosPlanAt(seed, rate)
-	var env *Env
-	if fc != nil {
-		if pooled, ok := fc.Pooled().(*Env); ok && pooled.Rearm(plan, o.Protocol) == nil {
-			env = pooled
-		}
-	}
-	if env == nil {
-		fresh, err := NewEnvWithFaultsProto(machine.COD, plan, o.Protocol)
-		if err != nil {
-			return chaosPointRec{}, err
-		}
-		env = fresh
-	}
-	if fc != nil {
-		// Deposit the engine for the next point on this worker; the farm
-		// discards the deposit if this attempt fails or is abandoned.
-		defer fc.Keep(env)
-	}
+// armPoint wires one experiment point's failure capture onto env. With a
+// bundle directory it attaches a flight recorder and, when the farm drives
+// the point (fc non-nil), registers a panic-capture hook writing
+// panic-<key>-attempt<n>.json as soon as the recorder exists, so even an
+// early panic yields a replayable bundle. With injectPanic it then runs the
+// failure-path test hook: touch a few lines, so the recorder holds a
+// replayable event stream, then die with panicMsg the way a harness bug
+// would. It returns the recorder, nil without a bundle directory.
+func armPoint(env *Env, fc *farm.Ctx, bundleDir string, injectPanic bool, panicMsg string) *trace.Recorder {
 	var tr *trace.Recorder
-	if o.BundleDir != "" {
-		tr = env.AttachFlightRecorder(o.BundleDir, 0)
-		defer tr.Detach()
+	if bundleDir != "" {
+		tr = env.AttachFlightRecorder(bundleDir, 0)
 		if fc != nil {
 			fc.CaptureOnPanic(func(any) (string, error) {
-				path := filepath.Join(o.BundleDir,
+				path := filepath.Join(bundleDir,
 					fmt.Sprintf("panic-%s-attempt%d.json", sanitizeKey(fc.Key), fc.Attempt))
 				if werr := trace.WriteFile(path, tr.Bundle(nil)); werr != nil {
 					return "", werr
@@ -385,16 +346,28 @@ func chaosPointRun(seed int64, rate float64, o ChaosOptions, fc *farm.Ctx, injec
 			})
 		}
 	}
-	rec := chaosPointRec{Rate: rate, Plan: env.E.Faults.Plan()}
 	if injectPanic {
-		// The failure-path test hook: touch a few lines first so the
-		// recorder has a replayable event stream, then die the way a
-		// harness bug would.
 		env.Fresh()
 		r := env.Alloc(0, 64*64)
 		bench.Latency(env.E, 0, r)
-		panic(fmt.Sprintf("injected chaos-point panic (rate %g)", rate))
+		panic(panicMsg)
 	}
+	return tr
+}
+
+// chaosPointRun measures one fault rate: build a fault-injecting engine
+// under o.Protocol, run the matrices, gate on the invariant checker, and
+// return the measured numbers.
+func chaosPointRun(seed int64, rate float64, o ChaosOptions, fc *farm.Ctx, injectPanic bool) (chaosPointRec, error) {
+	plan := ChaosPlanAt(seed, rate)
+	cfg := machine.TestSystem(machine.COD)
+	cfg.Protocol = o.Protocol
+	env, err := newEnv(cfg, &plan)
+	if err != nil {
+		return chaosPointRec{}, err
+	}
+	tr := armPoint(env, fc, o.BundleDir, injectPanic, fmt.Sprintf("injected chaos-point panic (rate %g)", rate))
+	rec := chaosPointRec{Rate: rate, Plan: env.E.Faults.Plan()}
 	t4, err := Table4In(env)
 	if err != nil {
 		return chaosPointRec{}, err

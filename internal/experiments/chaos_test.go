@@ -57,9 +57,10 @@ func TestChaosRateZeroReproducesTable4(t *testing.T) {
 	}
 }
 
-// TestChaosSweep runs a two-point sweep end to end (the invariant gate is
-// inside ChaosSweep) and verifies determinism: re-measuring the faulted
-// point from the same seed reproduces every latency cell and every counter.
+// TestChaosSweep runs a two-point sweep end to end on the farm (the
+// invariant gate is inside every point) and verifies determinism:
+// re-measuring the faulted point directly, with no farm, from the same
+// seed reproduces every latency cell and every counter.
 func TestChaosSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long reproduction run; the -short race pass covers the fast tests")
@@ -68,7 +69,7 @@ func TestChaosSweep(t *testing.T) {
 		t.Skip("slow chaos sweep")
 	}
 	const seed, rate = 0xC4A05, 0.08
-	res, err := ChaosSweep(seed, []float64{0, rate})
+	res, err := ChaosSweepOpts(seed, []float64{0, rate}, ChaosOptions{IncludeT5: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +91,11 @@ func TestChaosSweep(t *testing.T) {
 		t.Errorf("degraded remote-read bandwidth %.1f not below healthy %.1f",
 			p1.RemoteReadGBps, p0.RemoteReadGBps)
 	}
-	again, err := chaosPoint(seed, rate)
+	rec, err := chaosPointRun(seed, rate, ChaosOptions{IncludeT5: true}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	again := rec.Point(true)
 	if again.Table4.Values != p1.Table4.Values || again.Table5.Values != p1.Table5.Values {
 		t.Error("re-measured faulted point latencies differ: sweep is not deterministic")
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"haswellep/internal/farm"
@@ -14,9 +15,29 @@ import (
 	"haswellep/internal/trace"
 )
 
-// quickOpts is the cheap sweep configuration shared by the farm tests: no
+// quickRates is the cheap sweep configuration shared by the farm tests: no
 // Table V (the expensive matrix), two rates.
 var quickRates = []float64{0, 0.02}
+
+var (
+	quickOnce     sync.Once
+	quickBaseline ChaosResult
+	quickErr      error
+)
+
+// quickSerial returns the serial quick-rates sweep at seed 11 — the
+// reference the farm differentials compare against — computed once per
+// package run.
+func quickSerial(t *testing.T) ChaosResult {
+	t.Helper()
+	quickOnce.Do(func() {
+		quickBaseline, quickErr = ChaosSweepOpts(11, quickRates, ChaosOptions{})
+	})
+	if quickErr != nil {
+		t.Fatal(quickErr)
+	}
+	return quickBaseline
+}
 
 // TestChaosFarmShardEquivalence is the tentpole's differential proof: the
 // sweep at shards=1, shards=3, and through the plain serial entry point is
@@ -25,10 +46,7 @@ func TestChaosFarmShardEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run chaos differential in -short mode")
 	}
-	serial, err := ChaosSweepOpts(11, quickRates, ChaosOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := quickSerial(t)
 	for _, shards := range []int{1, 3} {
 		got, err := ChaosSweepOpts(11, quickRates, ChaosOptions{Shards: shards})
 		if err != nil {
@@ -52,16 +70,13 @@ func TestChaosFarmCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run chaos differential in -short mode")
 	}
-	reference, err := ChaosSweepOpts(11, quickRates, ChaosOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reference := quickSerial(t)
 
 	ckpt := filepath.Join(t.TempDir(), "chaos.journal")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := 0
-	_, err = ChaosSweepCtx(ctx, 11, quickRates, ChaosOptions{
+	_, err := ChaosSweepCtx(ctx, 11, quickRates, ChaosOptions{
 		Shards:         1,
 		CheckpointPath: ckpt,
 		OnPointDone: func(string, bool) {
@@ -210,36 +225,6 @@ func TestFarmReplaysCommittedCorpus(t *testing.T) {
 	for _, r := range results {
 		if !r.OK() {
 			t.Errorf("corpus bundle %s no longer replays: %v", r.Key, r.Failure)
-		}
-	}
-}
-
-// TestChaosPooledEnvMatchesFresh: farm-driven points reuse the worker's
-// pooled machine (chaosPointRun rearms it via Env.Rearm); a point measured
-// on a rearmed machine must be byte-identical to the same point measured
-// on a freshly built one. The serial chaosPointRun path (no farm context)
-// always builds fresh, so it is the reference.
-func TestChaosPooledEnvMatchesFresh(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run chaos differential in -short mode")
-	}
-	// Shards=1 forces both rates through one worker: the second point runs
-	// on the first point's rearmed machine.
-	pooled, err := ChaosSweepOpts(11, quickRates, ChaosOptions{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(pooled.Points); got != len(quickRates) {
-		t.Fatalf("sweep completed %d points, want %d", got, len(quickRates))
-	}
-	for i, rate := range quickRates {
-		rec, err := chaosPointRun(11, rate, ChaosOptions{}, nil, false)
-		if err != nil {
-			t.Fatalf("fresh point rate=%g: %v", rate, err)
-		}
-		if fresh := rec.Point(false); !reflect.DeepEqual(fresh, pooled.Points[i]) {
-			t.Errorf("rate %g: pooled point differs from fresh build:\npooled: %+v\nfresh:  %+v",
-				rate, pooled.Points[i], fresh)
 		}
 	}
 }

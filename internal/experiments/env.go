@@ -15,7 +15,6 @@ import (
 	"haswellep/internal/addr"
 	"haswellep/internal/bench"
 	"haswellep/internal/bwmodel"
-	"haswellep/internal/coherence"
 	"haswellep/internal/fault"
 	"haswellep/internal/invariant"
 	"haswellep/internal/machine"
@@ -27,7 +26,7 @@ import (
 )
 
 // Env is one experiment's machine instance. Every env runs with the
-// incremental invariant checker attached (invariant.AttachIncrementalOpts,
+// incremental invariant checker attached (invariant.AttachIncremental,
 // triage fidelity): a healthy env validates every 16th transaction's dirty
 // set — a violating state persists until repaired, so on the revisited
 // working sets the experiments measure it is still caught within a few
@@ -51,11 +50,6 @@ type Env struct {
 	// AttachFlightRecorder; SolveMaxMin logs solver invocations into it.
 	tr *trace.Recorder
 
-	// detach unhooks the always-on incremental checker; Rearm uses it to
-	// swap in a fresh checker and recorder when the env is pooled across
-	// experiment points.
-	detach func()
-
 	// lastAlloc is the most recent Alloc result (see lastRegion).
 	lastAlloc addr.Region
 }
@@ -63,27 +57,18 @@ type Env struct {
 // NewEnv builds a fresh test-system machine in the given mode, running the
 // default MESIF protocol.
 func NewEnv(mode machine.SnoopMode) *Env {
-	return NewEnvProto(mode, coherence.MESIF)
-}
-
-// NewEnvProto builds a fresh test-system machine in the given mode running
-// the given coherence protocol.
-func NewEnvProto(mode machine.SnoopMode, proto coherence.ID) *Env {
-	cfg := machine.TestSystem(mode)
-	cfg.Protocol = proto
-	m := machine.MustNew(cfg)
-	return newEnv(mode, m, mesif.New(m))
+	env, err := newEnv(machine.TestSystem(mode), nil)
+	if err != nil {
+		panic(err)
+	}
+	return env
 }
 
 // NewEnvCfg builds an env on an arbitrary validated machine configuration
-// — the what-if serving layer's constructor, where geometry (sockets, die
-// variant) varies per query instead of being pinned to the test system.
+// — geometry, snoop mode, and coherence protocol (cfg.Protocol) all come
+// from cfg instead of being pinned to the test system.
 func NewEnvCfg(cfg machine.Config) (*Env, error) {
-	m, err := machine.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newEnv(cfg.Mode, m, mesif.New(m)), nil
+	return newEnv(cfg, nil)
 }
 
 // NewEnvWithFaults builds a test-system machine in the given mode with the
@@ -92,88 +77,40 @@ func NewEnvCfg(cfg machine.Config) (*Env, error) {
 // injector is NOT reset by Fresh, so one env executes one deterministic
 // fault schedule across all its measurements.
 func NewEnvWithFaults(mode machine.SnoopMode, plan fault.Plan) (*Env, error) {
-	return NewEnvWithFaultsProto(mode, plan, coherence.MESIF)
+	return newEnv(machine.TestSystem(mode), &plan)
 }
 
-// NewEnvWithFaultsProto is NewEnvWithFaults under an explicit coherence
-// protocol.
-func NewEnvWithFaultsProto(mode machine.SnoopMode, plan fault.Plan, proto coherence.ID) (*Env, error) {
-	cfg := machine.TestSystem(mode)
-	cfg.Protocol = proto
-	m, err := machine.New(plan.Configure(cfg))
-	if err != nil {
-		return nil, err
+// newEnv is the one construction path: the machine on cfg (degraded by
+// plan when one is given), the engine with plan's injector attached,
+// placement, and the always-on incremental invariant checker feeding
+// env.Check. Engines whose plan actively injects are checked after every
+// transaction; all others every 16th — an inert (rate-0) plan is
+// documented to behave identically to no injector at all, so it keeps the
+// sampled cadence too. Periodic full Checks are disabled (the experiment
+// machines cache enough lines that even a rare full Check dominates the
+// run) — harnesses that want one run invariant.Check explicitly, as the
+// chaos sweep does per point.
+func newEnv(cfg machine.Config, plan *fault.Plan) (*Env, error) {
+	if plan != nil {
+		cfg = plan.Configure(cfg)
 	}
-	inj, err := fault.NewInjector(plan)
+	m, err := machine.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	e := mesif.New(m)
-	e.Faults = inj
-	return newEnv(mode, m, e), nil
-}
-
-// newEnv finishes env construction: placement, and the always-on
-// incremental invariant checker feeding env.Check. Faulted engines are
-// checked after every transaction; healthy ones every 16th. Periodic full
-// Checks are disabled (the experiment machines cache enough lines that
-// even a rare full Check dominates the run) — harnesses that want one run
-// invariant.Check explicitly, as the chaos sweep does per point.
-func newEnv(mode machine.SnoopMode, m *machine.Machine, e *mesif.Engine) *Env {
-	env := &Env{Mode: mode, M: m, E: e, P: placement.New(e)}
-	env.attachChecker()
-	return env
-}
-
-// attachChecker installs a fresh incremental checker and recorder on the
-// env's engine, choosing the cadence from the engine's current fault plan.
-func (env *Env) attachChecker() {
-	rec := &invariant.Recorder{}
 	o := invariant.IncrementalOptions{Epoch: invariant.NoEpoch, Sample: 16, Fast: true}
-	if env.E.Faults != nil && env.E.Faults.Plan().Active() {
-		// Dynamic faults can strike: check every transaction, so an
-		// unrecovered fault is pinned to the transaction that exposed it.
-		// An inert (rate-0) plan is documented to behave identically to
-		// no injector at all, and keeps the sampled cadence.
-		o.Sample = 1
+	if plan != nil {
+		if e.Faults, err = fault.NewInjector(*plan); err != nil {
+			return nil, err
+		}
+		if plan.Active() {
+			o.Sample = 1
+		}
 	}
-	env.detach = invariant.AttachIncrementalOpts(env.E, o, rec.Record)
-	env.Check = rec
-}
-
-// Rearm returns a pooled env to a state indistinguishable from one freshly
-// built by NewEnvWithFaultsProto(env.Mode, plan, proto): the machine is
-// reconfigured onto the plan's degraded latency parameters and
-// power-cycled (caches, directories, statistics, and the allocation map
-// all cleared), a fresh deterministic injector replaces the old one,
-// engine statistics reset, and a fresh incremental checker and recorder
-// are attached at the cadence the new plan demands. It fails — leaving the
-// env unusable for measurement — only when the requested configuration
-// differs structurally from the pooled machine (e.g. a different
-// protocol), in which case the caller builds a fresh env instead.
-//
-// The experiment farm's worker pools (farm.Ctx.Keep) use this to reuse one
-// machine across a sweep's points; the chaos sweep's serial-vs-farm
-// differential test is the proof that reuse is behaviorally invisible.
-func (env *Env) Rearm(plan fault.Plan, proto coherence.ID) error {
-	cfg := machine.TestSystem(env.Mode)
-	cfg.Protocol = proto
-	if err := env.M.Reconfigure(plan.Configure(cfg)); err != nil {
-		return err
-	}
-	inj, err := fault.NewInjector(plan)
-	if err != nil {
-		return err
-	}
-	env.detach()
-	env.M.PowerCycle()
-	env.E.Faults = inj
-	env.E.ResetStats()
-	env.E.WorkingSet = 0
-	env.tr = nil
-	env.lastAlloc = addr.Region{}
-	env.attachChecker()
-	return nil
+	env := &Env{Mode: cfg.Mode, M: m, E: e, P: placement.New(e), Check: &invariant.Recorder{}}
+	invariant.AttachIncremental(e, o, env.Check.Record)
+	return env, nil
 }
 
 // FirstCore returns the first core of a NUMA node, the core the paper's

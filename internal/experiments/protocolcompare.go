@@ -5,7 +5,6 @@ import (
 
 	"haswellep/internal/coherence"
 	"haswellep/internal/machine"
-	"haswellep/internal/mesif"
 	"haswellep/internal/report"
 	"haswellep/internal/units"
 )
@@ -43,20 +42,6 @@ type ProtocolCompareResult struct {
 	Metrics []ProtocolMetrics // in coherence.IDs() order
 	Latency *report.Table     // access pattern × protocol, ns
 	Traffic *report.Table     // counter × protocol
-}
-
-// protocolCompareEnv builds the comparison rig for one protocol: a
-// 2-socket COD machine (four NUMA nodes, so a clean-shared line can have
-// two sharers plus an uninvolved third reader) with the HitME cache
-// disabled — HitME's memory-forward fast path would serve the shared read
-// from the home agent under every protocol and mask the forwarding rules
-// the comparison exists to measure.
-func protocolCompareEnv(id coherence.ID) *Env {
-	cfg := machine.TestSystem(machine.COD)
-	cfg.DisableHitME = true
-	cfg.Protocol = id
-	m := machine.MustNew(cfg)
-	return newEnv(machine.COD, m, mesif.New(m))
 }
 
 // ProtocolCompare runs the identical workload suite under every registered
@@ -122,9 +107,20 @@ func ProtocolCompare() (*ProtocolCompareResult, error) {
 	return res, nil
 }
 
-// protocolMetrics measures one protocol's full metrics row on a fresh rig.
+// protocolMetrics measures one protocol's full metrics row on a fresh rig:
+// a 2-socket COD machine (four NUMA nodes, so a clean-shared line can have
+// two sharers plus an uninvolved third reader) with the HitME cache
+// disabled — HitME's memory-forward fast path would serve the shared read
+// from the home agent under every protocol and mask the forwarding rules
+// the comparison exists to measure.
 func protocolMetrics(id coherence.ID) (ProtocolMetrics, error) {
-	env := protocolCompareEnv(id)
+	cfg := machine.TestSystem(machine.COD)
+	cfg.DisableHitME = true
+	cfg.Protocol = id
+	env, err := NewEnvCfg(cfg)
+	if err != nil {
+		return ProtocolMetrics{}, err
+	}
 	pm := ProtocolMetrics{Protocol: id}
 	c0, c1, c2 := env.FirstCore(0), env.FirstCore(1), env.FirstCore(2)
 	r := env.Alloc(0, SizeL1) // homed on node 0, small enough to stay placed

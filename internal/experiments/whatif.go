@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"path/filepath"
 	"strconv"
 
 	"haswellep/internal/bench"
@@ -11,20 +10,19 @@ import (
 	"haswellep/internal/farm"
 	"haswellep/internal/machine"
 	"haswellep/internal/topology"
-	"haswellep/internal/trace"
 	"haswellep/internal/units"
 )
 
 // This file is the query→campaign adapter layer of the serving stack
 // (internal/server, cmd/hswd): a WhatIfSpec is one fully canonical what-if
 // question — machine config + protocol + snoop mode + workload — and
-// RunWhatIf answers it on a freshly built (or farm-pooled, for chaos
-// points) engine, gated by the always-on invariant checker. The spec's Key
-// is the memoization identity the server's checkpoint journal stores
-// answers under, so everything that can change an answer must be part of
-// it, and every answer must JSON-round-trip bit-exactly (encoding/json
-// emits shortest-form float64, which decodes back to identical bits — the
-// same contract chaosPointRec relies on).
+// RunWhatIf answers it on a freshly built engine, gated by the always-on
+// invariant checker. The spec's Key is the memoization identity the
+// server's checkpoint journal stores answers under, so everything that can
+// change an answer must be part of it, and every answer must
+// JSON-round-trip bit-exactly (encoding/json emits shortest-form float64,
+// which decodes back to identical bits — the same contract chaosPointRec
+// relies on).
 
 // WhatIfKind names the question a what-if query asks.
 type WhatIfKind string
@@ -304,9 +302,8 @@ type WhatIfOptions struct {
 }
 
 // RunWhatIf answers one canonical what-if spec. fc may be nil when no farm
-// drives the point (direct calls, tests); with a farm context, chaos points
-// participate in engine pooling and panics are captured into repro bundles
-// exactly as chaos-sweep points are.
+// drives the point (direct calls, tests); with a farm context, panics are
+// captured into repro bundles exactly as chaos-sweep points are.
 func RunWhatIf(fc *farm.Ctx, s WhatIfSpec, o WhatIfOptions) (WhatIfAnswer, error) {
 	if err := s.Validate(); err != nil {
 		return WhatIfAnswer{}, err
@@ -341,29 +338,7 @@ func RunWhatIf(fc *farm.Ctx, s WhatIfSpec, o WhatIfOptions) (WhatIfAnswer, error
 	if err != nil {
 		return WhatIfAnswer{}, err
 	}
-	if o.BundleDir != "" {
-		tr := env.AttachFlightRecorder(o.BundleDir, 0)
-		defer tr.Detach()
-		if fc != nil {
-			fc.CaptureOnPanic(func(any) (string, error) {
-				path := filepath.Join(o.BundleDir,
-					fmt.Sprintf("panic-%s-attempt%d.json", sanitizeKey(fc.Key), fc.Attempt))
-				if werr := trace.WriteFile(path, tr.Bundle(nil)); werr != nil {
-					return "", werr
-				}
-				return path, nil
-			})
-		}
-	}
-	if o.InjectPanic {
-		// The failure-path test hook: touch a few lines first so the
-		// recorder holds a replayable event stream, then die the way a
-		// harness bug would.
-		env.Fresh()
-		r := env.Alloc(0, 64*64)
-		bench.Latency(env.E, 0, r)
-		panic(fmt.Sprintf("injected what-if panic (%s)", s.Kind))
-	}
+	armPoint(env, fc, o.BundleDir, o.InjectPanic, fmt.Sprintf("injected what-if panic (%s)", s.Kind))
 
 	ans := WhatIfAnswer{Kind: s.Kind}
 	switch s.Kind {

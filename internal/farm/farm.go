@@ -26,16 +26,6 @@
 // a campaign at shards=N is byte-identical to the same campaign at
 // shards=1 and to a serial loop over the points.
 //
-// Point functions that find machine construction dominating point cost can
-// opt into the worker-local reuse slot (Ctx.Pooled / Ctx.Keep): a
-// successful attempt deposits its engine for the next point dispatched to
-// the same worker, which re-arms it to a state indistinguishable from
-// freshly built. The slot is discarded after any failed or abandoned
-// attempt, so degraded state never leaks across points, and the
-// byte-identical contract above is preserved as long as re-arming really
-// is behaviorally invisible (the chaos sweep's serial-vs-farm differential
-// test proves it for the experiment harness).
-//
 //hsw:tier harness
 package farm
 
@@ -160,8 +150,6 @@ type Ctx struct {
 	Attempt int
 
 	capture func(recovered any) (string, error)
-	pooled  any
-	keep    any
 }
 
 // CaptureOnPanic registers a hook the farm invokes — on the point's own
@@ -171,23 +159,6 @@ type Ctx struct {
 // infrastructure (e.g. an attached flight recorder) exists, so even an
 // early panic is captured.
 func (c *Ctx) CaptureOnPanic(f func(recovered any) (string, error)) { c.capture = f }
-
-// Pooled returns whatever the previous point dispatched to this worker
-// deposited via Keep, or nil when the slot is empty (first point on the
-// worker, or the previous attempt failed). Point functions use it to reuse
-// expensive per-point state — a warmed-up engine, a preallocated machine —
-// instead of rebuilding it, after re-arming it to a state indistinguishable
-// from freshly built (the farm's shards=N ≡ serial contract holds only if
-// reuse is behaviorally invisible).
-func (c *Ctx) Pooled() any { return c.pooled }
-
-// Keep deposits v in the worker's reuse slot for the next point this worker
-// runs. The deposit only sticks when the attempt completes successfully: an
-// attempt that returns an error, panics, or is abandoned by the deadline
-// watchdog discards the slot — an abandoned attempt's goroutine keeps
-// running detached and may still be mutating v, so handing it to the next
-// point would race.
-func (c *Ctx) Keep(v any) { c.keep = v }
 
 // Result is one point's outcome, at its input position.
 type Result[R any] struct {
@@ -307,10 +278,6 @@ func Run[P, R any](ctx context.Context, o Options, points []P, key func(i int, p
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// pool is the worker-local reuse slot (Ctx.Pooled / Ctx.Keep):
-			// it survives from one point to the next on the same worker and
-			// is discarded whenever an attempt fails or is abandoned.
-			var pool any
 			for idx := range idxCh {
 				// The producer's select may still hand out a point that was
 				// queued when cancellation raced it; refuse it here so that
@@ -319,8 +286,7 @@ func Run[P, R any](ctx context.Context, o Options, points []P, key func(i int, p
 				if runCtx.Err() != nil {
 					continue
 				}
-				res, kept := runPoint(runCtx, o, results[idx].Key, points[idx], idx, pool, run)
-				pool = kept
+				res := runPoint(runCtx, o, results[idx].Key, points[idx], idx, run)
 				mu.Lock()
 				results[idx] = res
 				if res.Failure == nil && o.Journal != nil {
@@ -352,11 +318,8 @@ func Run[P, R any](ctx context.Context, o Options, points []P, key func(i int, p
 
 // runPoint executes one point's attempt loop: retry with exponential
 // backoff on errors and panics until the budget is spent, no retry after a
-// deadline expiry, no new attempts once the campaign is cancelled. It
-// returns the point's result plus the value the successful attempt left in
-// the worker's reuse slot (nil when the point degraded: a failed attempt's
-// pooled state is suspect and is never handed to the next point).
-func runPoint[P, R any](ctx context.Context, o Options, key string, p P, idx int, pooled any, run func(*Ctx, P) (R, error)) (Result[R], any) {
+// deadline expiry, no new attempts once the campaign is cancelled.
+func runPoint[P, R any](ctx context.Context, o Options, key string, p P, idx int, run func(*Ctx, P) (R, error)) Result[R] {
 	res := Result[R]{Key: key, Index: idx}
 	backoff := o.Backoff
 	if backoff <= 0 {
@@ -364,20 +327,16 @@ func runPoint[P, R any](ctx context.Context, o Options, key string, p P, idx int
 	}
 	for attempt := 0; ; attempt++ {
 		res.Attempts = attempt + 1
-		v, kept, fail := runAttempt(o, key, idx, attempt, p, pooled, run)
-		// Whatever the attempt received from the pool has been consumed —
-		// possibly half-mutated if the attempt failed — so it is never
-		// offered again; a retry builds from an empty slot.
-		pooled = nil
+		v, fail := runAttempt(o, key, idx, attempt, p, run)
 		if fail == nil {
 			res.Value = v
 			res.Failure = nil
-			return res, kept
+			return res
 		}
 		fail.Attempts = res.Attempts
 		res.Failure = fail
 		if fail.Kind == KindDeadline || attempt >= o.Retries || ctx.Err() != nil {
-			return res, nil
+			return res
 		}
 		shift := attempt
 		if shift > 10 {
@@ -391,7 +350,7 @@ func runPoint[P, R any](ctx context.Context, o Options, key string, p P, idx int
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return res, nil
+			return res
 		case <-t.C:
 		}
 	}
@@ -400,14 +359,13 @@ func runPoint[P, R any](ctx context.Context, o Options, key string, p P, idx int
 // runAttempt executes one attempt under recover() and, when a deadline is
 // configured, under the watchdog: the attempt runs on its own goroutine
 // and is abandoned — never joined — once the timer fires.
-func runAttempt[P, R any](o Options, key string, idx, attempt int, p P, pooled any, run func(*Ctx, P) (R, error)) (R, any, *PointFailure) {
+func runAttempt[P, R any](o Options, key string, idx, attempt int, p P, run func(*Ctx, P) (R, error)) (R, *PointFailure) {
 	type outcome struct {
 		v    R
-		keep any
 		fail *PointFailure
 	}
 	exec := func() (out outcome) {
-		c := &Ctx{Key: key, Index: idx, Attempt: attempt, pooled: pooled}
+		c := &Ctx{Key: key, Index: idx, Attempt: attempt}
 		defer func() {
 			if rec := recover(); rec != nil {
 				pf := &PointFailure{
@@ -430,12 +388,12 @@ func runAttempt[P, R any](o Options, key string, idx, attempt int, p P, pooled a
 		if err != nil {
 			return outcome{fail: &PointFailure{Key: key, Kind: KindError, Err: err.Error()}}
 		}
-		return outcome{v: v, keep: c.keep}
+		return outcome{v: v}
 	}
 
 	if o.PointDeadline <= 0 {
 		out := exec()
-		return out.v, out.keep, out.fail
+		return out.v, out.fail
 	}
 	ch := make(chan outcome, 1)
 	go func() { ch <- exec() }()
@@ -443,13 +401,10 @@ func runAttempt[P, R any](o Options, key string, idx, attempt int, p P, pooled a
 	defer t.Stop()
 	select {
 	case out := <-ch:
-		return out.v, out.keep, out.fail
+		return out.v, out.fail
 	case <-t.C:
-		// The attempt's goroutine keeps running detached; anything it was
-		// handed from the pool — and anything it tried to Keep — stays with
-		// it and is never reused.
 		var zero R
-		return zero, nil, &PointFailure{
+		return zero, &PointFailure{
 			Key:  key,
 			Kind: KindDeadline,
 			Err:  fmt.Sprintf("attempt exceeded the %v point deadline; worker abandoned it", o.PointDeadline),

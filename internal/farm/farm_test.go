@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -325,102 +324,5 @@ func TestEmptyCampaign(t *testing.T) {
 	results, err := Run(context.Background(), Options{Shards: 8}, nil, intKey, func(_ *Ctx, p int) (int, error) { return p, nil })
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty campaign: %v, %d results", err, len(results))
-	}
-}
-
-// TestPoolHandoff: a value deposited with Keep reaches the next point on
-// the same worker via Pooled, and a serial campaign threads one slot
-// through every point.
-func TestPoolHandoff(t *testing.T) {
-	points := []int{10, 20, 30, 40}
-	var reused int
-	run := func(c *Ctx, p int) (int, error) {
-		n, _ := c.Pooled().(int) // 0 on the first point (empty slot)
-		if n != 0 {
-			reused++
-		}
-		c.Keep(n + 1)
-		return n, nil
-	}
-	results, err := Run(context.Background(), Options{Shards: 1}, points, intKey, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if !r.OK() || r.Value != i {
-			t.Errorf("point %d saw pooled value %d, want %d (the slot threads through every serial point)", i, r.Value, i)
-		}
-	}
-	if reused != len(points)-1 {
-		t.Errorf("reused = %d, want %d", reused, len(points)-1)
-	}
-}
-
-// TestPoolDiscardedOnFailure: an attempt that returns an error or panics
-// never deposits into the slot — the retry and the next point start empty —
-// and a pooled value handed to a failing attempt is not re-offered.
-func TestPoolDiscardedOnFailure(t *testing.T) {
-	points := []int{0, 1, 2, 3}
-	var sawPooled []bool
-	run := func(c *Ctx, p int) (int, error) {
-		sawPooled = append(sawPooled, c.Pooled() != nil)
-		c.Keep("poisoned by " + c.Key) // must not stick for failed attempts
-		switch {
-		case p == 1 && c.Attempt == 0:
-			return 0, errors.New("transient failure")
-		case p == 2:
-			panic("panicking point")
-		}
-		return p, nil
-	}
-	results, err := Run(context.Background(), Options{Shards: 1, Retries: 1, Backoff: time.Microsecond}, points, intKey, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !results[0].OK() || !results[1].OK() || results[2].Failure == nil || !results[3].OK() {
-		t.Fatalf("unexpected outcomes: %+v", results)
-	}
-	// Attempt order: p0 ok (keeps), p1 fail (slot consumed+discarded),
-	// p1 retry (empty, keeps), p2 panic on the kept slot (discarded),
-	// p2 retry (empty, panics again), p3 empty.
-	want := []bool{false, true, false, true, false, false}
-	if !reflect.DeepEqual(sawPooled, want) {
-		t.Errorf("pooled visibility per attempt = %v, want %v", sawPooled, want)
-	}
-}
-
-// TestPoolDiscardedOnDeadline: a value a timed-out attempt received or
-// tried to Keep stays with the abandoned goroutine — the next point starts
-// from an empty slot.
-func TestPoolDiscardedOnDeadline(t *testing.T) {
-	points := []int{0, 1, 2}
-	release := make(chan struct{})
-	var (
-		mu        sync.Mutex
-		sawPooled []bool
-	)
-	run := func(c *Ctx, p int) (int, error) {
-		mu.Lock()
-		sawPooled = append(sawPooled, c.Pooled() != nil)
-		mu.Unlock()
-		c.Keep(p)
-		if p == 1 {
-			<-release // wedge past the deadline
-		}
-		return p, nil
-	}
-	results, err := Run(context.Background(), Options{Shards: 1, PointDeadline: 50 * time.Millisecond}, points, intKey, run)
-	close(release)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[1].Failure == nil || results[1].Failure.Kind != KindDeadline {
-		t.Fatalf("point 1 should have timed out: %+v", results[1])
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	want := []bool{false, true, false}
-	if !reflect.DeepEqual(sawPooled, want) {
-		t.Errorf("pooled visibility per attempt = %v, want %v", sawPooled, want)
 	}
 }

@@ -73,7 +73,7 @@ func TestCheckAllAllocationFree(t *testing.T) {
 func TestAttachedHookAllocationFree(t *testing.T) {
 	m, e := build(t, machine.COD)
 	rec := &Recorder{}
-	detach := AttachIncrementalOpts(e, IncrementalOptions{Epoch: NoEpoch, Sample: 1, Fast: true}, rec.Record)
+	detach := AttachIncremental(e, IncrementalOptions{Epoch: NoEpoch, Sample: 1, Fast: true}, rec.Record)
 	defer detach()
 
 	r := m.MustAlloc(0, 64)

@@ -14,17 +14,18 @@ import (
 // finding; filter with Hard to act on genuine violations only.
 type ReportFunc func(op mesif.Op, core topology.CoreID, l addr.LineAddr, found []Violation)
 
-// DefaultEpoch is the full-Check period AttachIncremental uses when the
-// caller passes epoch <= 0: one machine-wide Check every 2^20 transactions.
-// The incremental dirty-set check catches any damage a transaction does to
-// the lines it touched the moment it happens; the epoch Check is only the
-// safety net for what a per-line check cannot see — an entry filed under
-// the wrong home agent (the agent-filing scan). A full Check is O(every
-// cached line) — the sweep-based CheckAll runs in ~0.2 s even on a
-// capacity-loaded machine, and the attached epoch checker reuses its
-// gather/sort buffers across epochs — so the default period amortizes it
-// to noise (~0.2 µs/transaction); callers running short adversarial
-// workloads should pass a much smaller epoch instead.
+// DefaultEpoch is the full-Check period AttachIncremental uses when
+// IncrementalOptions.Epoch is 0: one machine-wide Check every 2^20
+// transactions. The incremental dirty-set check catches any damage a
+// transaction does to the lines it touched the moment it happens; the
+// epoch Check is only the safety net for what a per-line check cannot
+// see — an entry filed under the wrong home agent (the agent-filing
+// scan). A full Check is O(every cached line) — the sweep-based CheckAll
+// runs in ~0.2 s even on a capacity-loaded machine, and the attached
+// epoch checker reuses its gather/sort buffers across epochs — so the
+// default period amortizes it to noise (~0.2 µs/transaction); callers
+// running short adversarial workloads should pass a much smaller epoch
+// instead.
 const DefaultEpoch = 1 << 20
 
 // Attach installs the machine-wide checker as the engine's AfterTransaction
@@ -49,7 +50,7 @@ func Attach(e *mesif.Engine, report ReportFunc) (detach func()) {
 	return attach(e, report, func(addr.LineAddr) []Violation { return Check(e.M) })
 }
 
-// IncrementalOptions tunes AttachIncrementalOpts.
+// IncrementalOptions tunes AttachIncremental.
 type IncrementalOptions struct {
 	// Epoch is the full-Check period: every Epoch transactions the whole
 	// machine is validated (agent-filing scan included) instead of just
@@ -71,14 +72,6 @@ type IncrementalOptions struct {
 	// the full-fidelity one; periodic full Checks are always full
 	// fidelity.
 	Fast bool
-	// VerboseStale composes detail strings for ClassStale findings. By
-	// default the attached checkers (incremental and epoch alike) run
-	// lean (Checker.LeanStale): the harness consumers only count stale
-	// findings, never read their details, and composing them dominates
-	// checking cost on capacity-loaded machines. Hard-violation details
-	// are always composed. Set VerboseStale for debugging sessions that
-	// read the stale text.
-	VerboseStale bool
 }
 
 // NoEpoch as IncrementalOptions.Epoch disables periodic full Checks.
@@ -90,23 +83,23 @@ const NoEpoch = -1
 // lines the transaction touched — the requested line, eviction victims at
 // every level, HitME-displaced lines, and fault-corrupted lines — instead
 // of the whole machine. Any line outside the dirty set is untouched by
-// construction, so per-line findings cannot hide there; every epoch
-// transactions (DefaultEpoch when epoch <= 0) a full Check runs anyway,
-// covering the one cross-line scan CheckLines skips (agent filing).
+// construction, so per-line findings cannot hide there; every o.Epoch
+// transactions a full Check runs anyway, covering the one cross-line scan
+// CheckLines skips (agent filing). See IncrementalOptions for sampling and
+// fidelity; the experiment harness attaches every engine this way
+// (package experiments).
 //
 // The per-transaction cost is proportional to the handful of lines a
 // transaction touches, not to cache capacity, which makes it cheap enough
 // to leave enabled for entire experiment sweeps. Chaining, detach order,
 // and the KindRecovery obligation match Attach. Detaching also disables
 // the engine's dirty-set tracking.
-func AttachIncremental(e *mesif.Engine, epoch int, report ReportFunc) (detach func()) {
-	return AttachIncrementalOpts(e, IncrementalOptions{Epoch: epoch}, report)
-}
-
-// AttachIncrementalOpts is AttachIncremental with sampling, fidelity, and
-// epoch control; see IncrementalOptions. The experiment harness attaches
-// every engine this way by default (package experiments).
-func AttachIncrementalOpts(e *mesif.Engine, o IncrementalOptions, report ReportFunc) (detach func()) {
+//
+// The attached checkers (incremental and epoch alike) run lean
+// (Checker.LeanStale): harness consumers only count stale findings, and
+// composing their details dominates checking cost on capacity-loaded
+// machines. Hard-violation details are always composed.
+func AttachIncremental(e *mesif.Engine, o IncrementalOptions, report ReportFunc) (detach func()) {
 	if o.Epoch == 0 {
 		o.Epoch = DefaultEpoch
 	}
@@ -118,14 +111,11 @@ func AttachIncrementalOpts(e *mesif.Engine, o IncrementalOptions, report ReportF
 	if o.Fast {
 		c = NewFastChecker(e.M)
 	}
+	c.LeanStale()
 	// The epoch Check keeps its own full-fidelity checker so the sweep
 	// buffers survive between epochs; its findings (like the incremental
 	// ones) are valid until the next epoch fires.
-	full := NewChecker(e.M)
-	if !o.VerboseStale {
-		c.LeanStale()
-		full.LeanStale()
-	}
+	full := NewChecker(e.M).LeanStale()
 	n := 0
 	inner := attach(e, report, func(addr.LineAddr) []Violation {
 		n++

@@ -68,7 +68,7 @@ func TestAttachIncremental(t *testing.T) {
 
 	rec := &Recorder{}
 	const epoch = 4
-	detach := AttachIncremental(e, epoch, rec.Record)
+	detach := AttachIncremental(e, IncrementalOptions{Epoch: epoch}, rec.Record)
 
 	e.Read(0, l0)
 	if rec.HardCount != 0 {
@@ -114,7 +114,7 @@ func TestAttachIncremental(t *testing.T) {
 	}
 }
 
-// TestAttachIncrementalOpts verifies the harness cadence options: with
+// TestAttachIncrementalOptions verifies the harness cadence options: with
 // Sample=4 a violation introduced on transaction 1 is invisible to the
 // skipped transactions 1–3 and caught by the sampled check on transaction 4
 // (the state persists; the dirty sets of skipped transactions are discarded,
@@ -122,13 +122,13 @@ func TestAttachIncremental(t *testing.T) {
 // no full Check ever fires, so corruption on an untouched line goes
 // unreported for the whole run; and Fast fidelity still catches the
 // corruption (it is within triage's blind-spot-free core).
-func TestAttachIncrementalOpts(t *testing.T) {
+func TestAttachIncrementalOptions(t *testing.T) {
 	m, e := build(t, machine.SourceSnoop)
 	l0 := m.MustAlloc(0, 64).Lines()[0]
 	l1 := m.MustAlloc(0, 64).Lines()[0]
 
 	rec := &Recorder{}
-	detach := AttachIncrementalOpts(e, IncrementalOptions{
+	detach := AttachIncremental(e, IncrementalOptions{
 		Epoch:  NoEpoch,
 		Sample: 4,
 		Fast:   true,

@@ -30,7 +30,7 @@ func TestCapacityPressure(t *testing.T) {
 	// validated the moment it completes, with a periodic full Check as the
 	// epoch safety net — the same wiring the experiment harness uses.
 	rec := &Recorder{}
-	AttachIncremental(e, 16384, rec.Record)
+	AttachIncremental(e, IncrementalOptions{Epoch: 16384}, rec.Record)
 
 	const footprint = 24 * units.MiB // 1.6x the home cluster's L3
 	region := m.MustAlloc(0, footprint)

@@ -177,48 +177,6 @@ func (m *Machine) Reset() {
 	}
 }
 
-// PowerCycle is Reset plus allocation-map erasure: the machine returns to
-// its just-constructed state, with every cache, directory, statistic, AND
-// per-node allocation offset cleared — previously handed-out regions are
-// forgotten, and the next AllocOnNode hands out the same bases a fresh
-// machine would. The experiment farm power-cycles pooled machines between
-// points so a reused engine is indistinguishable from a new one.
-func (m *Machine) PowerCycle() {
-	for i := range m.allocOffset {
-		m.allocOffset[i] = 0
-	}
-	m.Reset()
-}
-
-// Reconfigure swaps the machine onto a new configuration that shares the
-// current one's structure — sockets, die, snoop mode, protocol, and
-// directory/HitME arrangement must be identical; latency, DRAM, and QPI
-// parameters (the fields a fault.Plan degrades per experiment point) take
-// effect immediately. DRAM controllers are rebuilt from the new config;
-// cached state is left alone, so callers pooling machines across points
-// follow Reconfigure with PowerCycle.
-func (m *Machine) Reconfigure(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	old := m.Cfg
-	if cfg.Sockets != old.Sockets || cfg.Die != old.Die || cfg.Mode != old.Mode ||
-		cfg.Protocol != old.Protocol ||
-		cfg.DirectoryEnabled() != old.DirectoryEnabled() ||
-		cfg.DisableHitME != old.DisableHitME || cfg.HitMEBytes != old.HitMEBytes {
-		return fmt.Errorf("machine: Reconfigure requires an identical structure (sockets/die/mode/protocol/directory); build a new machine instead")
-	}
-	for _, ha := range m.HAs {
-		ctl, err := dram.NewController(cfg.DRAM)
-		if err != nil {
-			return err
-		}
-		ha.DRAM = ctl
-	}
-	m.Cfg = cfg
-	return nil
-}
-
 // AllocOnNode reserves size bytes of line-aligned memory homed on the given
 // NUMA node (the simulator's equivalent of libnuma placement, Section V-B).
 func (m *Machine) AllocOnNode(node topology.NodeID, size int64) (addr.Region, error) {

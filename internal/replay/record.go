@@ -56,7 +56,7 @@ func recordSeededViolation(dir string, seed int64, nops int, sockets int) (strin
 	tr := trace.Attach(e, trace.Options{Capacity: 4*nops + 64})
 	defer tr.Detach()
 	rec := &invariant.Recorder{}
-	detach := invariant.AttachIncrementalOpts(e,
+	detach := invariant.AttachIncremental(e,
 		invariant.IncrementalOptions{Epoch: invariant.NoEpoch, Sample: 1}, rec.Record)
 	defer detach()
 	rec.CaptureTo(tr, dir)

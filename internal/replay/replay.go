@@ -92,7 +92,7 @@ func Run(b *trace.Bundle) (Result, error) {
 	}
 	m := e.M
 	rec := &invariant.Recorder{}
-	detach := invariant.AttachIncrementalOpts(e,
+	detach := invariant.AttachIncremental(e,
 		invariant.IncrementalOptions{Epoch: invariant.NoEpoch, Sample: 1}, rec.Record)
 	defer detach()
 	tr := trace.Attach(e, trace.Options{Capacity: len(b.Events) + 1})

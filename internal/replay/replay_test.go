@@ -115,7 +115,7 @@ func TestFaultedDepth5SweepCapture(t *testing.T) {
 	tr := trace.Attach(e, trace.Options{Capacity: 1 << 12})
 	defer tr.Detach()
 	rec := &invariant.Recorder{}
-	detach := invariant.AttachIncrementalOpts(e,
+	detach := invariant.AttachIncremental(e,
 		invariant.IncrementalOptions{Epoch: invariant.NoEpoch, Sample: 1}, rec.Record)
 	defer detach()
 	dir := t.TempDir()

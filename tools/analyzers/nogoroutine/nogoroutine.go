@@ -4,14 +4,11 @@
 // never goroutines. Scope is the package-tier taxonomy (see package tier):
 // every engine-tier package — resolved from its //hsw:tier directive or the
 // checked-in manifest — must not contain go statements, imports of sync or
-// sync/atomic, channel operations, or select statements. For packages the
-// taxonomy does not classify (fixtures, vendored examples), the legacy
-// doc-comment markers ("NOT safe for concurrent use", "single-threaded")
-// still opt a package in, so they can carry the contract too. Harness- and
-// tool-tier packages are exempt — a classified tier is authoritative, even
-// when the doc happens to mention the marker phrases (the farm's doc
-// legitimately talks about its per-worker single-threaded engines) — and
-// the harness tier is covered by a -race CI job instead.
+// sync/atomic, channel operations, or select statements. Every other
+// package is exempt: harness and tool tiers legitimately use concurrency
+// (the harness tier is covered by a -race CI job instead), external test
+// packages exercise engine packages from outside, and tiercheck already
+// fails any module package that carries no tier.
 //
 // Together with tiercheck's import rule (engine imports only engine), the
 // per-package check makes the property transitive: nothing reachable from
@@ -34,15 +31,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "nogoroutine",
 	Doc: "reports goroutines, sync primitives, and channel operations in " +
-		"engine-tier packages (and packages whose doc comment promises single-threaded mutation)",
+		"engine-tier packages",
 	Run: run,
-}
-
-// markers are the legacy doc-comment phrases that opt an *unclassified*
-// package into enforcement; a resolved tier always wins over them.
-var markers = []string{
-	"NOT safe for concurrent use",
-	"single-threaded",
 }
 
 func run(pass *analysis.Pass) error {
@@ -79,38 +69,10 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// inScope reports whether the package is enforced: engine tier, or — for
-// packages the taxonomy does not classify — the legacy single-threaded doc
-// markers. A package resolved to the harness or tool tier is exempt no
-// matter what its doc says: concurrency is its legal privilege there.
+// inScope reports whether the package is enforced: engine tier, minus
+// external test packages, whose paths resolve to the engine package they
+// test.
 func inScope(pass *analysis.Pass) bool {
-	if strings.HasSuffix(pass.Pkg.Name(), "_test") {
-		// External test packages exercise engine packages from outside;
-		// their determinism is the differential suite's job.
-		return promisesSingleThreaded(pass.Files)
-	}
-	switch tier.EffectiveOf(pass.Pkg.Path(), pass.Files) {
-	case tier.Engine:
-		return true
-	case tier.Harness, tier.Tool:
-		return false
-	}
-	return promisesSingleThreaded(pass.Files)
-}
-
-// promisesSingleThreaded reports whether any file's package comment carries
-// one of the marker phrases.
-func promisesSingleThreaded(files []*ast.File) bool {
-	for _, file := range files {
-		if file.Doc == nil {
-			continue
-		}
-		text := file.Doc.Text()
-		for _, m := range markers {
-			if strings.Contains(text, m) {
-				return true
-			}
-		}
-	}
-	return false
+	return !strings.HasSuffix(pass.Pkg.Name(), "_test") &&
+		tier.EffectiveOf(pass.Pkg.Path(), pass.Files) == tier.Engine
 }

@@ -1,9 +1,8 @@
-// Package gobad mutates one shared simulated state with single-threaded
-// mutation and is NOT safe for concurrent use.
+// Package gobad is the negative fixture for the nogoroutine analyzer: it
+// declares the engine tier, so every concurrency construct below must be
+// reported.
 //
-// It is the negative fixture for the nogoroutine analyzer: the package doc
-// above carries the contract marker, so every concurrency construct below
-// must be reported.
+//hsw:tier engine
 package gobad
 
 import "sync"
