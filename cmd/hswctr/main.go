@@ -45,15 +45,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var mode machine.SnoopMode
-	switch *modeFlag {
-	case "source":
-		mode = machine.SourceSnoop
-	case "home":
-		mode = machine.HomeSnoop
-	case "cod":
-		mode = machine.COD
-	default:
+	mode, err := machine.ParseSnoopMode(*modeFlag)
+	if err != nil {
 		fmt.Fprintf(stderr, "hswctr: unknown mode %q\n", *modeFlag)
 		return 2
 	}
@@ -73,20 +66,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *sharer >= 0 {
 		second = topology.CoreID(*sharer)
 	}
-	switch *state {
-	case "modified":
-		p.Modified(pc, r)
-	case "exclusive":
-		p.Exclusive(pc, r)
-	case "shared":
-		p.Shared(r, pc, second)
-	case "memory":
-		p.Modified(pc, r)
-		p.FlushAll(pc, r)
-	default:
-		fmt.Fprintf(stderr, "hswctr: unknown state %q\n", *state)
+	place, err := placement.Named(*state)
+	if err != nil {
+		fmt.Fprintf(stderr, "hswctr: %v\n", err)
 		return 2
 	}
+	place(p, pc, second, r)
 
 	if *explain {
 		fmt.Fprintln(stdout, e.Explain(topology.CoreID(*core), r.Base.Line()))
@@ -98,9 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var meanNs float64
 	n := 0
 	for _, l := range bench.ChaseOrder(r) {
-		acc := e.Read(topology.CoreID(*core), l)
-		mon.Observe(acc)
-		meanNs += acc.Latency.Nanoseconds()
+		meanNs += e.Read(topology.CoreID(*core), l).Latency.Nanoseconds()
 		n++
 	}
 	meanNs /= float64(n)

@@ -32,15 +32,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var mode machine.SnoopMode
-	switch *modeFlag {
-	case "source":
-		mode = machine.SourceSnoop
-	case "home":
-		mode = machine.HomeSnoop
-	case "cod":
-		mode = machine.COD
-	default:
+	mode, err := machine.ParseSnoopMode(*modeFlag)
+	if err != nil {
 		fmt.Fprintf(stderr, "hswmlc: unknown mode %q\n", *modeFlag)
 		return 2
 	}

@@ -57,6 +57,7 @@ type sweepConfig struct {
 	mode           machine.SnoopMode
 	proto          coherence.ID
 	kind, state    string
+	place          func(p *placement.Placer, placer, second topology.CoreID, r addr.Region)
 	placer, second topology.CoreID
 	core           topology.CoreID
 	node           topology.NodeID
@@ -95,9 +96,7 @@ func runPoint(c sweepConfig, i int) (rowRec, error) {
 	if err != nil {
 		return rowRec{}, err
 	}
-	if err := place(p, c, r); err != nil {
-		return rowRec{}, err
-	}
+	c.place(p, c.placer, c.second, r)
 	switch c.kind {
 	case "latency":
 		st := bench.Latency(e, c.core, r)
@@ -106,23 +105,6 @@ func runPoint(c sweepConfig, i int) (rowRec, error) {
 		st := bwmodel.ReadStream(e, c.core, r, bwmodel.AVX256, bwmodel.ConcurrencyFor(c.mode))
 		return rowRec{Size: size, Row: fmt.Sprintf("%d,%.1f", size, st.GBps)}, nil
 	}
-}
-
-func place(p *placement.Placer, c sweepConfig, r addr.Region) error {
-	switch c.state {
-	case "modified":
-		p.Modified(c.placer, r)
-	case "exclusive":
-		p.Exclusive(c.placer, r)
-	case "shared":
-		p.Shared(r, c.placer, c.second)
-	case "memory":
-		p.Modified(c.placer, r)
-		p.FlushAll(c.placer, r)
-	default:
-		return fmt.Errorf("unknown state %q", c.state)
-	}
-	return nil
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
@@ -153,16 +135,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	var c sweepConfig
-	switch *modeFlag {
-	case "source":
-		c.mode = machine.SourceSnoop
-	case "home":
-		c.mode = machine.HomeSnoop
-	case "cod":
-		c.mode = machine.COD
-	default:
+	mode, err := machine.ParseSnoopMode(*modeFlag)
+	if err != nil {
 		return fail("unknown mode %q", *modeFlag)
 	}
+	c.mode = mode
 	if _, err := coherence.Get(coherence.ID(*protoFlag)); err != nil {
 		return fail("%v", err)
 	}
@@ -171,10 +148,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail("unknown kind %q", *kind)
 	}
 	c.kind = *kind
-	switch *state {
-	case "modified", "exclusive", "shared", "memory":
-	default:
-		return fail("unknown state %q", *state)
+	if c.place, err = placement.Named(*state); err != nil {
+		return fail("%v", err)
 	}
 	c.state = *state
 

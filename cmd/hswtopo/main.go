@@ -34,8 +34,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	mode, ok := parseMode(*modeFlag)
-	if !ok {
+	mode, err := machine.ParseSnoopMode(*modeFlag)
+	if err != nil {
 		fmt.Fprintf(stderr, "hswtopo: unknown mode %q\n", *modeFlag)
 		return 2
 	}
@@ -95,19 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  QPI transit %.1f, node transfer %.1f, HA resolve %.1f\n",
 		lat.QPITransit, lat.NodeTransferPipe, lat.HAResolve)
 	return 0
-}
-
-// parseMode maps the -mode flag value to a snoop mode.
-func parseMode(s string) (machine.SnoopMode, bool) {
-	switch s {
-	case "source":
-		return machine.SourceSnoop, true
-	case "home":
-		return machine.HomeSnoop, true
-	case "cod":
-		return machine.COD, true
-	}
-	return 0, false
 }
 
 func header(nodes int) []string {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"haswellep/internal/addr"
+	"haswellep/internal/coherence"
 	"haswellep/internal/fault"
 	"haswellep/internal/machine"
 	"haswellep/internal/mesif"
@@ -27,7 +28,9 @@ import (
 // plus, for the two streams, an order-sensitive hash of every
 // transaction's dirty set, so a refactor cannot shuffle state mutations
 // between transactions without detection. The golden was generated from
-// the engine as it stood before the coherence-protocol extraction
+// the engine as it stood before the coherence-protocol extraction; the
+// nine-system entries (every snoop mode × protocol) were added from the
+// engine as it stood before its protocol legs were consolidated
 // (regenerate only deliberately, with HSW_WRITE_GOLDEN=1).
 //
 // Latencies inside the digests are integer picoseconds and the hashes are
@@ -43,6 +46,22 @@ type pinGolden struct {
 	ChaosDirty     string        `json:"chaos_dirty_fnv64a"`
 	CapacityDigest trace.Digest  `json:"capacity_digest"`
 	CapacityDirty  string        `json:"capacity_dirty_fnv64a"`
+	// Systems pins the faulted mixed stream under every snoop mode ×
+	// protocol, with cores on both sockets.
+	Systems []pinSystem `json:"systems"`
+}
+
+// pinSystem is one system's fingerprint of the faulted mixed stream. The
+// digest alone cannot tell MOESI from MESI in the snoop modes, where they
+// differ only in DRAM write-backs, so the snoop counters and the machine's
+// traffic counters are pinned beside it.
+type pinSystem struct {
+	System     string               `json:"system"`
+	Digest     trace.Digest         `json:"digest"`
+	Dirty      string               `json:"dirty_fnv64a"`
+	SnoopsSent uint64               `json:"snoops_sent"`
+	SnoopsQPI  uint64               `json:"snoops_qpi"`
+	Traffic    machine.TrafficStats `json:"traffic"`
 }
 
 // dirtyHasher folds every transaction's (op, core, line, dirty set) into
@@ -87,11 +106,36 @@ func (d *dirtyHasher) hex() string {
 	return fmt.Sprintf("%016x", d.h.Sum64())
 }
 
-// pinChaosStream runs the fixed faulted multi-node stream and returns the
-// flight-recorder digest plus the dirty-set hash.
+// pinChaosStream runs the fixed faulted multi-node stream on the COD MESIF
+// system and returns the flight-recorder digest plus the dirty-set hash.
 func pinChaosStream(t *testing.T) (trace.Digest, string) {
 	t.Helper()
-	cfg := machine.TestSystem(machine.COD)
+	ps := pinStream(t, machine.TestSystem(machine.COD), []topology.CoreID{0, 1, 6}, 600)
+	return ps.Digest, ps.Dirty
+}
+
+// pinSystems runs the faulted mixed stream on all nine systems (3 snoop
+// modes × 3 protocols) with one core per socket half: 0 and 6 share a
+// socket (and a node outside COD), 12 sits on the other socket.
+func pinSystems(t *testing.T) []pinSystem {
+	t.Helper()
+	var out []pinSystem
+	for _, mode := range []machine.SnoopMode{machine.SourceSnoop, machine.HomeSnoop, machine.COD} {
+		for _, id := range coherence.IDs() {
+			cfg := machine.TestSystem(mode)
+			cfg.Protocol = id
+			ps := pinStream(t, cfg, []topology.CoreID{0, 6, 12}, 2000)
+			ps.System = mode.Token() + "/" + string(id)
+			out = append(out, ps)
+		}
+	}
+	return out
+}
+
+// pinStream drives the fault-injected mixed stream of reads, writes and
+// flushes across the given cores on a fresh machine built from cfg.
+func pinStream(t *testing.T, cfg machine.Config, cores []topology.CoreID, iters int) pinSystem {
+	t.Helper()
 	m := machine.MustNew(cfg)
 	e := mesif.New(m)
 	inj, err := fault.NewInjector(fault.Uniform(0xC0DE, 0.05))
@@ -105,7 +149,7 @@ func pinChaosStream(t *testing.T) (trace.Digest, string) {
 	dh.attach(e)
 
 	// One small region per node; the stream mixes local and remote reads,
-	// writes, and flushes across three cores so forwards, RFOs, dirty
+	// writes, and flushes across the cores so forwards, RFOs, dirty
 	// forwards, and directory traffic all occur.
 	nodes := m.Topo.Nodes()
 	var lines []addr.LineAddr
@@ -113,8 +157,7 @@ func pinChaosStream(t *testing.T) (trace.Digest, string) {
 		r := m.MustAlloc(topology.NodeID(n), 4*units.KiB)
 		lines = append(lines, r.Lines()...)
 	}
-	cores := []topology.CoreID{0, 1, 6}
-	for i := 0; i < 600; i++ {
+	for i := 0; i < iters; i++ {
 		l := lines[(i*7)%len(lines)]
 		c := cores[i%len(cores)]
 		switch {
@@ -129,7 +172,14 @@ func pinChaosStream(t *testing.T) (trace.Digest, string) {
 			e.Read(cores[(i+1)%len(cores)], lines[(i*13+5)%len(lines)])
 		}
 	}
-	return rec.Digest(), dh.hex()
+	st := e.Stats()
+	return pinSystem{
+		Digest:     rec.Digest(),
+		Dirty:      dh.hex(),
+		SnoopsSent: st.SnoopsSent,
+		SnoopsQPI:  st.SnoopsQPI,
+		Traffic:    m.Traffic(),
+	}
 }
 
 // pinCapacityStream replays the 24 MiB capacity-pressure stream from the
@@ -184,6 +234,7 @@ func TestMESIFPin(t *testing.T) {
 	got.Table5 = t5.Values
 
 	got.ChaosDigest, got.ChaosDirty = pinChaosStream(t)
+	got.Systems = pinSystems(t)
 
 	short := testing.Short()
 	if !short {
@@ -228,6 +279,14 @@ func TestMESIFPin(t *testing.T) {
 	}
 	if got.ChaosDirty != want.ChaosDirty {
 		t.Errorf("chaos stream dirty sets diverged: got %s want %s", got.ChaosDirty, want.ChaosDirty)
+	}
+	if len(got.Systems) != len(want.Systems) {
+		t.Fatalf("pinned %d systems, golden has %d", len(got.Systems), len(want.Systems))
+	}
+	for i, g := range got.Systems {
+		if w := want.Systems[i]; g != w {
+			t.Errorf("system %s diverged:\n got %+v\nwant %+v", g.System, g, w)
+		}
 	}
 	if !short {
 		if got.CapacityDigest != want.CapacityDigest {

@@ -79,21 +79,6 @@ const (
 	MaxWhatIfBytes = 64 * units.MiB
 )
 
-// modeToken is the canonical short name of a snoop mode, used in memo keys
-// (SnoopMode.String is prose).
-func modeToken(m machine.SnoopMode) string {
-	switch m {
-	case machine.SourceSnoop:
-		return "source"
-	case machine.HomeSnoop:
-		return "home"
-	case machine.COD:
-		return "cod"
-	default:
-		return fmt.Sprintf("mode%d", int(m))
-	}
-}
-
 // Nodes returns the NUMA node count of the spec's geometry.
 func (s WhatIfSpec) Nodes() int {
 	per := 1
@@ -225,7 +210,7 @@ func (s WhatIfSpec) Validate() error {
 // from the journal contract.
 func (s WhatIfSpec) Key() string {
 	return fmt.Sprintf("whatif/v1 kind=%s mode=%s proto=%s sockets=%d die=%d from=%d to=%d size=%d cores=%d seed=%d rate=%s label=%s",
-		s.Kind, modeToken(s.Mode), coherence.Normalize(s.Protocol), s.Sockets, s.Die.Cores(),
+		s.Kind, s.Mode.Token(), coherence.Normalize(s.Protocol), s.Sockets, s.Die.Cores(),
 		s.From, s.To, s.SizeBytes, s.Cores, s.Seed,
 		strconv.FormatFloat(s.Rate, 'g', -1, 64), s.Label)
 }

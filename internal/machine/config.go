@@ -54,6 +54,31 @@ func (m SnoopMode) String() string {
 	}
 }
 
+// Token is the mode's short name as flags, wire queries and memo keys
+// spell it: "source", "home" or "cod". ParseSnoopMode is its inverse.
+func (m SnoopMode) Token() string {
+	switch m {
+	case SourceSnoop:
+		return "source"
+	case HomeSnoop:
+		return "home"
+	case COD:
+		return "cod"
+	default:
+		return fmt.Sprintf("mode%d", int(m))
+	}
+}
+
+// ParseSnoopMode maps a mode's short name (see Token) to the mode.
+func ParseSnoopMode(s string) (SnoopMode, error) {
+	for m := SourceSnoop; m <= COD; m++ {
+		if m.Token() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown snoop mode %q (choose source, home, or cod)", s)
+}
+
 // UsesDirectory reports whether the home agents consult the in-memory
 // directory and HitME cache. On the modeled two-socket system the directory
 // is only active in COD mode (Section IV-A: "Our test system does not

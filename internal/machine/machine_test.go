@@ -22,6 +22,27 @@ func TestSnoopModeStrings(t *testing.T) {
 	}
 }
 
+// TestSnoopModeTokens: ParseSnoopMode inverts Token for every mode, and an
+// unknown name is refused with the wire-level diagnosis.
+func TestSnoopModeTokens(t *testing.T) {
+	for _, m := range []SnoopMode{SourceSnoop, HomeSnoop, COD} {
+		got, err := ParseSnoopMode(m.Token())
+		if err != nil || got != m {
+			t.Errorf("ParseSnoopMode(%q) = %v, %v; want %v", m.Token(), got, err, m)
+		}
+	}
+	if SourceSnoop.Token() != "source" || HomeSnoop.Token() != "home" || COD.Token() != "cod" {
+		t.Error("mode tokens wrong")
+	}
+	if SnoopMode(7).Token() != "mode7" {
+		t.Error("unknown mode token")
+	}
+	_, err := ParseSnoopMode("nope")
+	if err == nil || err.Error() != `unknown snoop mode "nope" (choose source, home, or cod)` {
+		t.Errorf("ParseSnoopMode(nope) error = %v", err)
+	}
+}
+
 func TestSnoopModeProperties(t *testing.T) {
 	if SourceSnoop.UsesDirectory() || HomeSnoop.UsesDirectory() || !COD.UsesDirectory() {
 		t.Error("directory only in COD mode")

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"haswellep/internal/addr"
+	"haswellep/internal/coherence"
 	"haswellep/internal/machine"
+	"haswellep/internal/mesif"
 )
 
 // The steady-state transaction paths of a healthy engine (no fault
@@ -17,45 +19,64 @@ import (
 //
 // Each guard warms the path first: first-touch work (directory growth,
 // memo fills, DRAM page-table entries) is allowed to allocate, the steady
-// state is not.
+// state is not. Every guard runs on all nine systems (3 snoop modes × 3
+// protocols), so the source-snoop, home-snoop and directory miss paths
+// are all held to the contract.
+
+// forEachSystem runs fn as a subtest on a fresh engine of every snoop mode
+// × protocol system.
+func forEachSystem(t *testing.T, fn func(t *testing.T, e *mesif.Engine)) {
+	for _, mode := range []machine.SnoopMode{machine.SourceSnoop, machine.HomeSnoop, machine.COD} {
+		for _, id := range coherence.IDs() {
+			cfg := machine.TestSystem(mode)
+			cfg.Protocol = id
+			t.Run(mode.Token()+"/"+string(id), func(t *testing.T) {
+				fn(t, mesif.New(machine.MustNew(cfg)))
+			})
+		}
+	}
+}
 
 // TestReadHitAllocationFree: an L1 read hit allocates nothing.
 func TestReadHitAllocationFree(t *testing.T) {
-	e := newEngine(t, machine.COD)
-	l := lineOn(t, e, 0)
-	e.Read(0, l) // warm: fill the line into the core's L1
+	forEachSystem(t, func(t *testing.T, e *mesif.Engine) {
+		l := lineOn(t, e, 0)
+		e.Read(0, l) // warm: fill the line into the core's L1
 
-	if avg := testing.AllocsPerRun(100, func() {
-		e.Read(0, l)
-	}); avg != 0 {
-		t.Errorf("L1 read hit allocates %.1f times per transaction, want 0", avg)
-	}
+		if avg := testing.AllocsPerRun(100, func() {
+			e.Read(0, l)
+		}); avg != 0 {
+			t.Errorf("L1 read hit allocates %.1f times per transaction, want 0", avg)
+		}
+	})
 }
 
 // TestRemoteReadWriteUpgradeAllocationFree: the cross-node steady cycle —
 // core 0 writes (invalidating the remote copy: a write-upgrade with a
-// directory update), core 6 of the other COD node reads (a remote read
-// served by core forward) — allocates nothing once warm. This cycle walks
-// the snoop fan-out, the directory store, the HitME cache, and the victim
-// paths every iteration.
+// directory update where there is a directory), the first core of node 1
+// reads (a remote read served by a forward) — allocates nothing once warm.
+// This cycle walks the snoop fan-out, the directory store, the HitME
+// cache, and the victim paths every iteration.
 func TestRemoteReadWriteUpgradeAllocationFree(t *testing.T) {
-	e := newEngine(t, machine.COD)
-	l := lineOn(t, e, 0)
-	remote := e.M.Topo.CoresOfNode(1)[0]
+	forEachSystem(t, func(t *testing.T, e *mesif.Engine) {
+		l := lineOn(t, e, 0)
+		remote := e.M.Topo.CoresOfNode(1)[0]
 
-	// Warm: two full cycles populate caches, directory, HitME, and the
-	// DRAM controllers' page state for every line the cycle touches.
-	for i := 0; i < 2; i++ {
-		e.Write(0, l)
-		e.Read(remote, l)
-	}
+		// Warm: two full cycles populate caches, directory, HitME, and
+		// the DRAM controllers' page state for every line the cycle
+		// touches.
+		for i := 0; i < 2; i++ {
+			e.Write(0, l)
+			e.Read(remote, l)
+		}
 
-	if avg := testing.AllocsPerRun(100, func() {
-		e.Write(0, l)
-		e.Read(remote, l)
-	}); avg != 0 {
-		t.Errorf("write-upgrade + remote-read cycle allocates %.1f times per cycle, want 0", avg)
-	}
+		if avg := testing.AllocsPerRun(100, func() {
+			e.Write(0, l)
+			e.Read(remote, l)
+		}); avg != 0 {
+			t.Errorf("write-upgrade + remote-read cycle allocates %.1f times per cycle, want 0", avg)
+		}
+	})
 }
 
 // TestCapacityStreamAllocationFree: streaming reads over a working set
@@ -63,21 +84,22 @@ func TestRemoteReadWriteUpgradeAllocationFree(t *testing.T) {
 // cascade, L3 insertion, and directory delete/insert churn — without
 // allocating once the directory table has grown to its steady size.
 func TestCapacityStreamAllocationFree(t *testing.T) {
-	e := newEngine(t, machine.COD)
-	const lines = 4096
-	r, err := e.M.AllocOnNode(0, lines*64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := r.Base.Line()
-	stream := func() {
-		for i := 0; i < lines; i++ {
-			e.Read(0, base+addr.LineAddr(i))
+	forEachSystem(t, func(t *testing.T, e *mesif.Engine) {
+		const lines = 4096
+		r, err := e.M.AllocOnNode(0, lines*64)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	stream() // warm: grow the directory and touch every DRAM page
+		base := r.Base.Line()
+		stream := func() {
+			for i := 0; i < lines; i++ {
+				e.Read(0, base+addr.LineAddr(i))
+			}
+		}
+		stream() // warm: grow the directory and touch every DRAM page
 
-	if avg := testing.AllocsPerRun(3, stream); avg != 0 {
-		t.Errorf("capacity stream allocates %.1f times per pass, want 0", avg)
-	}
+		if avg := testing.AllocsPerRun(3, stream); avg != 0 {
+			t.Errorf("capacity stream allocates %.1f times per pass, want 0", avg)
+		}
+	})
 }

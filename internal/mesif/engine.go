@@ -161,6 +161,9 @@ type Stats struct {
 	SnoopsSent uint64
 	// SnoopsQPI counts the subset of snoops that crossed a QPI link.
 	SnoopsQPI uint64
+	// RemoteDRAM counts reads served from another NUMA node's DRAM (the
+	// MEM_LOAD_UOPS_L3_MISS_RETIRED:REMOTE_DRAM event).
+	RemoteDRAM uint64
 }
 
 // Engine executes MESIF transactions on a machine.
@@ -214,6 +217,7 @@ type engineStats struct {
 	bySource                           [NumSources]uint64
 	reads, writes, flushes, broadcasts uint64
 	dirHits, snoopsSent, snoopsQPI     uint64
+	remoteDRAM                         uint64
 }
 
 // New builds an engine for the machine.
@@ -231,6 +235,7 @@ func (e *Engine) Stats() Stats {
 		DirHits:    e.stats.dirHits,
 		SnoopsSent: e.stats.snoopsSent,
 		SnoopsQPI:  e.stats.snoopsQPI,
+		RemoteDRAM: e.stats.remoteDRAM,
 		BySource:   make(map[Source]uint64, NumSources),
 	}
 	for s, n := range e.stats.bySource {
@@ -294,8 +299,9 @@ func (e *Engine) touch(l addr.LineAddr) {
 	e.dirty = append(e.dirty, l)
 }
 
-// lat is shorthand for the machine's latency model.
-func (e *Engine) lat() machine.LatencyModel { return e.M.Cfg.Lat }
+// lat is shorthand for the machine's latency model. It returns a pointer
+// so the leg functions read single fields without copying the model.
+func (e *Engine) lat() *machine.LatencyModel { return &e.M.Cfg.Lat }
 
 // nsT converts nanoseconds to simulated time. Calibration boundary: the
 // protocol engine's configured latencies are nanosecond quantities from the
@@ -313,6 +319,9 @@ func (e *Engine) record(op Op, a Access) Access {
 	switch op {
 	case OpRead:
 		e.stats.reads++
+		if a.RemoteDRAM {
+			e.stats.remoteDRAM++
+		}
 	case OpWrite:
 		e.stats.writes++
 	case OpFlush:
@@ -397,14 +406,14 @@ func (e *Engine) l3EntryOf(n topology.NodeID, l addr.LineAddr) nodeEntry {
 	return nodeEntry{node: n, slice: s, line: ln, ok: ok}
 }
 
-// forwarderAmong returns the peer node (excluding `exclude`) whose L3 holds
-// the line in a state the active protocol forwards from (M/E/F under MESIF,
+// forwarderAmong returns the node other than a and b whose L3 holds the
+// line in a state the active protocol forwards from (M/E/F under MESIF,
 // M/E under MESI, M/E/O under MOESI), if any. Every protocol guarantees at
 // most one such node exists.
-func (e *Engine) forwarderAmong(l addr.LineAddr, exclude topology.NodeID) (nodeEntry, bool) {
+func (e *Engine) forwarderAmong(l addr.LineAddr, a, b topology.NodeID) (nodeEntry, bool) {
 	for n := 0; n < e.M.Topo.Nodes(); n++ {
 		nn := topology.NodeID(n)
-		if nn == exclude {
+		if nn == a || nn == b {
 			continue
 		}
 		ent := e.l3EntryOf(nn, l)
@@ -413,6 +422,37 @@ func (e *Engine) forwarderAmong(l addr.LineAddr, exclude topology.NodeID) (nodeE
 		}
 	}
 	return nodeEntry{}, false
+}
+
+// homeForwarder returns the home node's L3 entry when a directory miss's
+// mandatory local snoop finds it forwardable: the home node is not the
+// requester's, and its L3 holds the line in a forwarding state.
+func (e *Engine) homeForwarder(l addr.LineAddr, rn, hn topology.NodeID) (nodeEntry, bool) {
+	if hn == rn {
+		return nodeEntry{}, false
+	}
+	ent := e.l3EntryOf(hn, l)
+	return ent, ent.ok && e.M.Proto.CanForward(ent.line.State)
+}
+
+// ownedForwarder returns the owner named by an owned HitME entry when the
+// directed snoop finds it forwardable: exactly one owner, outside the
+// requester's node, holding the line in a forwarding state. Otherwise the
+// entry is stale.
+func (e *Engine) ownedForwarder(v directory.PresenceVector, l addr.LineAddr, rn topology.NodeID) (nodeEntry, bool) {
+	owner := topology.NodeID(v.Sole())
+	if v.Count() != 1 || owner == rn {
+		return nodeEntry{}, false
+	}
+	ent := e.l3EntryOf(owner, l)
+	return ent, ent.ok && e.M.Proto.CanForward(ent.line.State)
+}
+
+// directoryMiss reports whether a private miss on the line is resolved by
+// home snooping with the DAS directory: COD mode, or any home-snooped
+// configuration with ForceDirectory set.
+func (e *Engine) directoryMiss(l addr.LineAddr) bool {
+	return e.M.Cfg.Mode.HomeSnooped() && e.M.HA(l).Dir != nil
 }
 
 // anyPeerHolds reports whether any node other than `exclude` caches the
@@ -442,25 +482,21 @@ func (e *Engine) sharerVector(l addr.LineAddr) directory.PresenceVector {
 	return v
 }
 
-// forwardHolderNode returns the node whose L3 holds the line in a state the
-// active protocol forwards from (F under MESIF, or the unique/dirty owner
-// states), if any.
-func (e *Engine) forwardHolderNode(l addr.LineAddr) (topology.NodeID, bool) {
-	for n := 0; n < e.M.Topo.Nodes(); n++ {
-		nn := topology.NodeID(n)
-		ent := e.l3EntryOf(nn, l)
-		if ent.ok && e.M.Proto.CanForward(ent.line.State) {
-			return nn, true
-		}
-	}
-	return 0, false
-}
-
 // countSnoop books snoop messages from an origin socket to a target node.
 func (e *Engine) countSnoop(fromSocket int, to topology.NodeID) {
 	e.stats.snoopsSent++
 	if e.M.Topo.SocketOfNode(to) != fromSocket {
 		e.stats.snoopsQPI++
+	}
+}
+
+// broadcastSnoops books one snoop from the origin socket to every node
+// except a and b.
+func (e *Engine) broadcastSnoops(fromSocket int, a, b topology.NodeID) {
+	for n := 0; n < e.M.Topo.Nodes(); n++ {
+		if nn := topology.NodeID(n); nn != a && nn != b {
+			e.countSnoop(fromSocket, nn)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"haswellep/internal/addr"
 	"haswellep/internal/cache"
 	"haswellep/internal/directory"
-	"haswellep/internal/machine"
 	"haswellep/internal/topology"
 )
 
@@ -16,18 +15,18 @@ import (
 // snooped, where the data comes from — without mutating any state. It is
 // the simulator's answer to the reverse-engineering narrative of the
 // paper's Section VI: every case discussed there renders as one of these
-// stories.
+// stories. Every branch is decided by the predicates the read path itself
+// decides with, so the story cannot drift from the engine.
 func (e *Engine) Explain(core topology.CoreID, l addr.LineAddr) string {
 	var b strings.Builder
 	rn := e.M.Topo.NodeOfCore(core)
 	hn := e.M.MustHomeNode(l)
 	fmt.Fprintf(&b, "core %d (node%d) reads line %#x (home: node%d)\n", core, rn, l, hn)
 
-	cc := e.M.Core(core)
-	if lvl, st := cc.HighestLevelState(l); lvl != 0 {
+	if lvl, st := e.M.Core(core).HighestLevelState(l); lvl != 0 {
 		fmt.Fprintf(&b, "  L%d hit in state %v", lvl, st)
 		if st == cache.Shared {
-			if fwNode, ok := e.forwardHolderNode(l); ok && fwNode != rn {
+			if fwNode, ok := e.reclaimFrom(rn, l); ok {
 				fmt.Fprintf(&b, "\n  forward copy lives in node%d: the access notifies the CA to reclaim F\n", fwNode)
 				fmt.Fprintf(&b, "  -> costs a full L3 round trip despite the private-cache hit (Fig. 9 effect)")
 				return b.String()
@@ -61,58 +60,71 @@ func (e *Engine) Explain(core topology.CoreID, l addr.LineAddr) string {
 	}
 	fmt.Fprintf(&b, "  L3 miss in node%d\n", rn)
 
-	switch {
-	case e.M.Cfg.Mode == machine.SourceSnoop:
+	if e.directoryMiss(l) {
+		e.explainDirectory(&b, rn, hn, l)
+		return b.String()
+	}
+	fw, ok := e.forwarderAmong(l, rn, rn)
+	if !e.M.Cfg.Mode.HomeSnooped() {
 		fmt.Fprintf(&b, "  source snoop: the CA broadcasts to all peer CAs and the home agent in parallel\n")
-		if fw, ok := e.forwarderAmong(l, rn); ok {
+		if ok {
 			fmt.Fprintf(&b, "  node%d's L3 holds the line in %v -> it forwards directly to the requester", fw.node, fw.line.State)
 			return b.String()
 		}
 		fmt.Fprintf(&b, "  no cache can forward -> home agent sends the memory copy without waiting for snoop responses")
-	case e.M.HA(l).Dir != nil:
-		e.explainDirectory(&b, core, rn, hn, l)
-	default:
-		fmt.Fprintf(&b, "  home snoop: the request goes to node%d's home agent, which snoops the peers\n", hn)
-		if fw, ok := e.forwarderAmong(l, rn); ok {
-			fmt.Fprintf(&b, "  node%d forwards from its L3 (state %v) when the snoop arrives", fw.node, fw.line.State)
-			return b.String()
-		}
-		fmt.Fprintf(&b, "  no forwarder -> memory data is released only after all snoop responses (the +12%% local penalty)")
+		return b.String()
 	}
+	fmt.Fprintf(&b, "  home snoop: the request goes to node%d's home agent, which snoops the peers\n", hn)
+	if ok {
+		fmt.Fprintf(&b, "  node%d forwards from its L3 (state %v) when the snoop arrives", fw.node, fw.line.State)
+		return b.String()
+	}
+	fmt.Fprintf(&b, "  no forwarder -> memory data is released only after all snoop responses (the +12%% local penalty)")
 	return b.String()
 }
 
-// explainDirectory narrates the COD/directory decision tree.
-func (e *Engine) explainDirectory(b *strings.Builder, core topology.CoreID, rn, hn topology.NodeID, l addr.LineAddr) {
+// explainDirectory narrates the COD/directory decision tree of codMiss.
+func (e *Engine) explainDirectory(b *strings.Builder, rn, hn topology.NodeID, l addr.LineAddr) {
 	ha := e.M.HA(l)
 	fmt.Fprintf(b, "  home snoop + directory: the request goes to node%d's home agent\n", hn)
-	if hn != rn {
-		if ent := e.l3EntryOf(hn, l); ent.ok && e.M.Proto.CanForward(ent.line.State) {
-			fmt.Fprintf(b, "  the mandatory local snoop finds the home node's L3 in %v -> it forwards (directory not waited for)\n", ent.line.State)
-		}
+	local, hasLocal := e.homeForwarder(l, rn, hn)
+	if hasLocal {
+		fmt.Fprintf(b, "  the mandatory local snoop finds the home node's L3 in %v -> it forwards (directory not waited for)\n", local.line.State)
 	}
+	var v directory.PresenceVector
+	var kind directory.EntryKind
+	hit := false
 	if ha.HitME != nil {
-		if v, kind, ok := ha.HitME.Peek(l); ok {
-			if kind == directory.EntryShared {
-				fmt.Fprintf(b, "  HitME hit (%v, sharers %v): the memory copy is valid -> forwarded from DRAM without a broadcast (Fig. 7 fast path)", kind, v.Nodes())
-			} else {
-				fmt.Fprintf(b, "  HitME hit (%v -> node%d): directed snoop instead of a broadcast", kind, v.Nodes()[0])
-			}
+		v, kind, hit = ha.HitME.Peek(l)
+	}
+	switch {
+	case ha.HitME == nil:
+		fmt.Fprintf(b, "  no directory cache -> the in-memory directory bits arrive with the DRAM access\n")
+	case !hit:
+		fmt.Fprintf(b, "  HitME miss -> the in-memory directory bits arrive with the DRAM access\n")
+	case kind == directory.EntryShared:
+		fmt.Fprintf(b, "  HitME hit (%v, sharers %v): the memory copy is valid -> forwarded from DRAM without a broadcast (Fig. 7 fast path)", kind, v.Nodes())
+		return
+	default:
+		if owner, ok := e.ownedForwarder(v, l, rn); ok {
+			fmt.Fprintf(b, "  HitME hit (%v -> node%d): directed snoop instead of a broadcast", kind, owner.node)
 			return
 		}
-		fmt.Fprintf(b, "  HitME miss -> the in-memory directory bits arrive with the DRAM access\n")
-	} else {
-		fmt.Fprintf(b, "  no directory cache -> the in-memory directory bits arrive with the DRAM access\n")
+		fmt.Fprintf(b, "  HitME hit (%v, nodes %v) is stale: no owner can forward, so the entry is dropped\n", kind, v.Nodes())
+		fmt.Fprintf(b, "  -> the in-memory directory bits arrive with the DRAM access\n")
 	}
-	switch st := ha.Dir.State(l); st {
+	switch ha.Dir.State(l) {
 	case directory.RemoteInvalid:
 		fmt.Fprintf(b, "  directory: remote-invalid -> no snoops; memory (or the home node's L3) answers")
 	case directory.SharedRemote:
 		fmt.Fprintf(b, "  directory: shared -> the memory copy is valid for reads; no broadcast")
 	case directory.SnoopAll:
-		if fw, ok := e.forwarderAmongExcept(l, rn, hn); ok {
+		if fw, ok := e.forwarderAmong(l, rn, hn); ok {
 			fmt.Fprintf(b, "  directory: snoop-all -> broadcast; node%d forwards from its L3 (%v)\n", fw.node, fw.line.State)
 			fmt.Fprintf(b, "  -> the three-node transaction of Table IV (160+ ns)")
+		} else if hasLocal {
+			fmt.Fprintf(b, "  directory: snoop-all -> broadcast, but only the home node's L3 can forward;\n")
+			fmt.Fprintf(b, "  -> its local snoop answers while the broadcast drains")
 		} else {
 			fmt.Fprintf(b, "  directory: snoop-all but nobody holds the line (silent evictions left it STALE)\n")
 			fmt.Fprintf(b, "  -> a useless broadcast delays the memory copy by ~80 ns (the Table V penalty)")

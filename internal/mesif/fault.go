@@ -65,13 +65,8 @@ func (e *Engine) faultDirectory(agent topology.AgentID, ha *machine.HomeAgent, l
 	// Recovery: the poisoned entry fails its integrity check, so the home
 	// agent cannot trust any directory filtering and broadcasts like a
 	// snoop-all line, collecting every response before proceeding.
-	haSock := e.M.Topo.SocketOfAgent(agent)
-	for n := 0; n < e.M.Topo.Nodes(); n++ {
-		if nn := topology.NodeID(n); nn != rn && nn != hn {
-			e.countSnoop(haSock, nn)
-		}
-	}
-	wait := e.snoopResponseWaitExcept(agent, rn, hn)
+	e.broadcastSnoops(e.M.Topo.SocketOfAgent(agent), rn, hn)
+	wait := e.snoopResponseWait(agent, rn, hn)
 	e.Faults.AddPenaltyNs(wait.Nanoseconds() + e.lat().DirUpdate)
 
 	// Repair: the collected responses are exact knowledge of the remote
@@ -125,16 +120,13 @@ func (e *Engine) faultHitMEFalseHit(ha *machine.HomeAgent, l addr.LineAddr) (dir
 		return 0, directory.EntryShared, false
 	}
 	node := topology.NodeID(owner)
-	if fw, ok := e.forwardHolderNode(l); ok && fw == node {
+	if fw, ok := e.ForwardNode(l); ok && fw == node {
 		node = topology.NodeID((owner + 1) % nodes)
 	}
 	// Price the wasted probe: HA -> fabricated owner's CA -> HA, plus the
 	// directory-cache pipe that produced the bogus hit.
 	lat := e.lat()
-	caN := e.M.CAForNode(node, l)
-	rt := e.M.Leg(e.M.AgentEndpoint(ha.Agent), e.M.SliceEndpoint(caN)) +
-		nsT(lat.TagPipe) +
-		e.M.Leg(e.M.SliceEndpoint(caN), e.M.AgentEndpoint(ha.Agent))
+	rt := e.tagProbe(e.M.AgentEndpoint(ha.Agent), e.M.SliceEndpoint(e.M.CAForNode(node, l)))
 	e.Faults.AddPenaltyNs(rt.Nanoseconds() + lat.DirCachePipe + lat.HASnoopLaunch)
 	e.Faults.NoteWastedSnoop()
 	e.countSnoop(e.M.Topo.SocketOfAgent(ha.Agent), node)

@@ -170,25 +170,19 @@ func (e *Engine) dramWriteback(l addr.LineAddr, fromNode topology.NodeID) {
 func (e *Engine) invalidateEverywhere(l addr.LineAddr) {
 	e.touch(l)
 	dirty := false
-	var dirtyNode topology.NodeID
 	for c := 0; c < e.M.Topo.Cores(); c++ {
-		cid := topology.CoreID(c)
-		if st := e.M.Core(cid).InvalidateBoth(l); st == cache.Modified {
+		if st := e.M.Core(topology.CoreID(c)).InvalidateBoth(l); st == cache.Modified {
 			dirty = true
-			dirtyNode = e.M.Topo.NodeOfCore(cid)
 		}
 	}
 	for n := 0; n < e.M.Topo.Nodes(); n++ {
-		nn := topology.NodeID(n)
-		sl := e.M.CAForNode(nn, l)
+		sl := e.M.CAForNode(topology.NodeID(n), l)
 		if ln, ok := e.M.Slice(sl).Invalidate(l); ok && ln.State.Dirty() {
 			dirty = true
-			dirtyNode = nn
 		}
 	}
 	ha := e.M.HA(l)
 	if dirty {
-		_ = dirtyNode
 		ha.DRAM.RecordWrite()
 	}
 	if ha.Dir != nil {
@@ -199,6 +193,21 @@ func (e *Engine) invalidateEverywhere(l addr.LineAddr) {
 	}
 }
 
+// fillFromMemory installs a line the home agent answered from memory at
+// the requester and returns the state its node's L3 was granted
+// (grantStateOnRead); the core takes Exclusive with an Exclusive grant and
+// Shared otherwise.
+func (e *Engine) fillFromMemory(core topology.CoreID, rn topology.NodeID, l addr.LineAddr) cache.State {
+	grant := e.grantStateOnRead(l, rn)
+	coreState := cache.Shared
+	if grant == cache.Exclusive {
+		coreState = cache.Exclusive
+	}
+	e.fillL3(rn, l, grant, core)
+	e.fillCore(core, l, coreState)
+	return grant
+}
+
 // grantStateOnRead decides the state granted for a read miss serviced by
 // memory: Exclusive when no other node caches the line; otherwise Shared —
 // except under MESIF, where a clean sharer set without a forward
@@ -207,7 +216,7 @@ func (e *Engine) grantStateOnRead(l addr.LineAddr, requester topology.NodeID) ca
 	if !e.anyPeerHolds(l, requester) {
 		return cache.Exclusive
 	}
-	if _, ok := e.forwarderAmong(l, requester); ok {
+	if _, ok := e.forwarderAmong(l, requester, requester); ok {
 		// A peer already holds the forward designation. This happens on
 		// the directory's no-snoop fill paths (shared-remote / a HitME
 		// shared entry), where the forwarder is never consulted and so
@@ -219,6 +228,44 @@ func (e *Engine) grantStateOnRead(l addr.LineAddr, requester topology.NodeID) ca
 		return cache.Shared
 	}
 	return cache.Forward
+}
+
+// fillAfterForward installs a forwarded line at the requester and records
+// the forward in the COD directory structures. The node's L3 takes the
+// protocol's recipient state (MESIF hands the Forward designation to the
+// newest sharer; MESI and MOESI grant plain Shared), the core a Shared
+// copy. When the forwarding node kept the line dirty as Owned (MOESI;
+// owner names that node), memory is stale: the home agent tracks the owner
+// with an owned directory-cache entry and pins the in-memory state to
+// snoop-all, so every later miss is routed at the owner, never at memory.
+// Otherwise the MESIF/MESI bookkeeping applies: AllocateShared when the
+// requester is outside the home node, a plain shared note otherwise.
+func (e *Engine) fillAfterForward(core topology.CoreID, rn topology.NodeID, l addr.LineAddr, owner topology.NodeID, ownedKept bool) {
+	e.fillL3(rn, l, e.M.Proto.RecipientState(), core)
+	e.fillCore(core, l, cache.Shared)
+	ha := e.M.HA(l)
+	if ha.Dir == nil {
+		return
+	}
+	home := e.M.MustHomeNode(l)
+	if ownedKept {
+		if owner != home && ha.HitME != nil {
+			e.hitmeAllocate(ha, l, directory.PresenceVector(0).With(int(owner)), directory.EntryOwned)
+		}
+		// An owner inside the home node needs no directory-cache entry:
+		// the mandatory local snoop finds it on every miss. Either way
+		// the in-memory state must not claim memory is valid.
+		ha.Dir.SetState(l, directory.SnoopAll)
+		return
+	}
+	if rn != home {
+		e.allocateHitME(l, rn, directory.EntryShared)
+		return
+	}
+	// The requester is the home node; remote sharers remain.
+	if e.anyPeerHolds(l, home) && ha.Dir.State(l) == directory.RemoteInvalid {
+		ha.Dir.SetState(l, directory.SharedRemote)
+	}
 }
 
 // dirOnReadGrant updates the in-memory directory after the home agent

@@ -31,8 +31,16 @@ func (e *Engine) PrivateState(c topology.CoreID, l addr.LineAddr) (int, cache.St
 }
 
 // ForwardNode returns the node holding the line in a forwardable state.
+// Every Shared private hit asks (reclaimFrom), so it returns the node alone
+// rather than going through forwarderAmong's full L3 entry.
 func (e *Engine) ForwardNode(l addr.LineAddr) (topology.NodeID, bool) {
-	return e.forwardHolderNode(l)
+	for n := 0; n < e.M.Topo.Nodes(); n++ {
+		nn := topology.NodeID(n)
+		if ent := e.l3EntryOf(nn, l); ent.ok && e.M.Proto.CanForward(ent.line.State) {
+			return nn, true
+		}
+	}
+	return 0, false
 }
 
 // EvictCached simulates capacity eviction of the region from every cache in

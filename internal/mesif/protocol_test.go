@@ -591,4 +591,12 @@ func TestRemoteCounters(t *testing.T) {
 	if acc.RemoteDRAM {
 		t.Error("local memory read must not set RemoteDRAM")
 	}
+	// The engine books remote-DRAM loads itself; an RFO from remote
+	// memory is a store and does not count.
+	if acc = e.Write(0, lineOn(t, e, 1)); !acc.RemoteDRAM {
+		t.Error("remote memory RFO must set RemoteDRAM")
+	}
+	if n := e.Stats().RemoteDRAM; n != 1 {
+		t.Errorf("Stats().RemoteDRAM = %d, want 1", n)
+	}
 }

@@ -1,13 +1,17 @@
 package mesif
 
 import (
+	"math"
+
 	"haswellep/internal/addr"
 	"haswellep/internal/cache"
 	"haswellep/internal/directory"
-	"haswellep/internal/machine"
 	"haswellep/internal/topology"
 	"haswellep/internal/units"
 )
+
+// never is an arrival time no forward loses a race against.
+const never = units.Time(math.MaxInt64)
 
 // Read performs a demand load of one cache line by the given core and
 // returns the access result. All cache, directory and DRAM state is
@@ -26,22 +30,16 @@ func (e *Engine) readLine(core topology.CoreID, l addr.LineAddr) Access {
 	cc := e.M.Core(core)
 	rn := e.M.Topo.NodeOfCore(core)
 
-	// L1 hit.
-	if st := cc.L1D.StateOf(l); st.Valid() {
+	// Private hit; an L2 hit refills the L1.
+	if lvl, st := cc.HighestLevelState(l); lvl != 0 {
 		if st == cache.Shared {
 			if acc, ok := e.sharedReclaim(core, rn, l); ok {
 				return acc
 			}
 		}
-		cc.L1D.Touch(l)
-		return Access{Latency: nsT(lat.L1Hit), Source: SrcL1}
-	}
-	// L2 hit; refill the L1.
-	if st := cc.L2.StateOf(l); st.Valid() {
-		if st == cache.Shared {
-			if acc, ok := e.sharedReclaim(core, rn, l); ok {
-				return acc
-			}
+		if lvl == 1 {
+			cc.L1D.Touch(l)
+			return Access{Latency: nsT(lat.L1Hit), Source: SrcL1}
 		}
 		cc.L2.Touch(l)
 		if v, ev := cc.L1D.Insert(cache.Line{Addr: l, State: st}); ev {
@@ -53,49 +51,39 @@ func (e *Engine) readLine(core topology.CoreID, l addr.LineAddr) Access {
 	// Private miss: the request travels to the node's responsible CA,
 	// which may transiently stall it (fault injection).
 	e.faultStall()
-	ca := e.M.ResponsibleCA(core, l)
-	tReq := nsT(lat.RequestLaunch) + e.M.Leg(e.M.CoreEndpoint(core), e.M.SliceEndpoint(ca))
-
 	if ent := e.l3EntryOf(rn, l); ent.ok {
-		return e.l3Hit(core, rn, l, ent, tReq)
+		return e.l3Hit(core, l, ent)
 	}
-
-	tMiss := tReq + nsT(lat.TagPipe)
-	switch {
-	case e.M.Cfg.Mode == machine.SourceSnoop:
-		return e.sourceSnoopMiss(core, rn, l, tMiss)
-	case e.M.HA(l).Dir != nil:
-		// Home snooping with DAS directory support: COD mode, or any
-		// home-snooped configuration with ForceDirectory set.
+	tMiss := e.requestLeg(core, l) + nsT(lat.TagPipe)
+	if e.directoryMiss(l) {
 		return e.codMiss(core, rn, l, tMiss)
-	default:
-		return e.homeSnoopMiss(core, rn, l, tMiss)
 	}
+	return e.snoopMiss(core, rn, l, tMiss, e.M.Cfg.Mode.HomeSnooped())
 }
 
-// sharedReclaim handles the paper's Section VI-C / Table IV observation:
-// a read hit on a Shared line in the private caches still notifies the
-// responsible caching agent when the line's forward copy lives in another
-// node, so the node can reclaim the forward state. The access costs a full
-// L3 round trip and migrates the F designation to the requester's node.
-func (e *Engine) sharedReclaim(core topology.CoreID, rn topology.NodeID, l addr.LineAddr) (Access, bool) {
+// reclaimFrom reports whether a read hit on a Shared private copy in node
+// rn must notify the responsible CA so the node reclaims the Forward
+// designation, and which node holds it now (the paper's Section VI-C /
+// Table IV observation). Only a protocol with a Forward state reclaims:
+// under MESI a Shared private hit cannot coexist with a remote unique
+// copy, and under MOESI a remote Owned copy keeps its dirty designation —
+// either way the hit is served locally with no CA notification.
+func (e *Engine) reclaimFrom(rn topology.NodeID, l addr.LineAddr) (topology.NodeID, bool) {
 	if !e.M.Proto.HasForward() {
-		// No Forward state to reclaim. Under MESI a Shared private hit
-		// cannot coexist with a remote unique copy; under MOESI a remote
-		// Owned copy must keep its dirty designation — either way the
-		// hit is served locally with no CA notification.
+		return 0, false
+	}
+	fw, ok := e.ForwardNode(l)
+	return fw, ok && fw != rn
+}
+
+// sharedReclaim serves a Shared private hit that must reclaim the Forward
+// designation (reclaimFrom): the access costs a full L3 round trip and
+// migrates F to the requester's node.
+func (e *Engine) sharedReclaim(core topology.CoreID, rn topology.NodeID, l addr.LineAddr) (Access, bool) {
+	fwNode, ok := e.reclaimFrom(rn, l)
+	if !ok {
 		return Access{}, false
 	}
-	fwNode, ok := e.forwardHolderNode(l)
-	if !ok || fwNode == rn {
-		return Access{}, false
-	}
-	lat := e.lat()
-	ca := e.M.ResponsibleCA(core, l)
-	t := nsT(lat.RequestLaunch) +
-		e.M.Leg(e.M.CoreEndpoint(core), e.M.SliceEndpoint(ca)) +
-		nsT(lat.L3Pipe) +
-		e.M.Leg(e.M.SliceEndpoint(ca), e.M.CoreEndpoint(core))
 	// Reclaim: this node's L3 copy becomes the forwarder, the old
 	// forwarder demotes to Shared.
 	old := e.l3EntryOf(fwNode, l)
@@ -111,17 +99,13 @@ func (e *Engine) sharedReclaim(core topology.CoreID, rn topology.NodeID, l addr.
 		})
 	}
 	e.M.Core(core).L1D.Touch(l)
-	return Access{Latency: t, Source: SrcL3}, true
+	return Access{Latency: e.l3RoundTrip(core, l), Source: SrcL3}, true
 }
 
 // l3Hit services a request that hits in the requesting node's L3.
-func (e *Engine) l3Hit(core topology.CoreID, rn topology.NodeID, l addr.LineAddr, ent nodeEntry, tReq units.Time) Access {
-	lat := e.lat()
+func (e *Engine) l3Hit(core topology.CoreID, l addr.LineAddr, ent nodeEntry) Access {
 	slice := e.M.Slice(ent.slice)
-	legBack := e.M.Leg(e.M.SliceEndpoint(ent.slice), e.M.CoreEndpoint(core))
-	base := tReq + nsT(lat.L3Pipe) + legBack
-
-	acc := Access{Latency: base, Source: SrcL3}
+	acc := Access{Latency: e.l3RoundTrip(core, l), Source: SrcL3}
 	grant := cache.Shared
 
 	if y, need := e.soleOtherValidCore(ent, core); need {
@@ -129,26 +113,16 @@ func (e *Engine) l3Hit(core topology.CoreID, rn topology.NodeID, l addr.LineAddr
 		// bit set for another core: that core may hold a newer copy
 		// and must be snooped (the 44.4 ns case when the bit is stale
 		// after a silent eviction, Section VI-A).
-		rt := e.M.Leg(e.M.SliceEndpoint(ent.slice), e.M.CoreEndpoint(y)) +
-			e.M.Leg(e.M.CoreEndpoint(y), e.M.SliceEndpoint(ent.slice)) +
-			nsT(lat.SnoopPipe)
-		lvl, st := e.M.Core(y).HighestLevelState(l)
-		switch {
-		case st == cache.Modified && lvl == 1:
-			acc = Access{Latency: base + rt + nsT(lat.FwdL1Extra), Source: SrcCoreForward, FwdLevel: 1}
-		case st == cache.Modified:
-			acc = Access{Latency: base + rt + nsT(lat.FwdL2Extra), Source: SrcCoreForward, FwdLevel: 2}
-		default:
-			acc = Access{Latency: base + rt, Source: SrcL3CoreSnoop}
-		}
-		if st == cache.Modified {
+		rt, lvl := e.snoopCore(ent.slice, y, l, e.lat().SnoopPipe)
+		acc.Latency += rt
+		acc.Source = SrcL3CoreSnoop
+		if lvl > 0 {
 			// Forwarded dirty data: the L3 absorbs the new version,
 			// both cores end up with shared copies.
-			e.M.Core(y).Downgrade(l, cache.Shared)
+			acc.Source, acc.FwdLevel = SrcCoreForward, lvl
 			slice.Update(l, func(ln *cache.Line) { ln.State = cache.Modified })
-		} else if st.Valid() {
-			e.M.Core(y).Downgrade(l, cache.Shared)
 		}
+		e.M.Core(y).Downgrade(l, cache.Shared)
 		// When the snooped core no longer holds a copy (silent
 		// eviction), the stale core-valid bit remains set and the
 		// requester receives a Shared copy: from now on multiple bits
@@ -169,480 +143,160 @@ func (e *Engine) l3Hit(core topology.CoreID, rn topology.NodeID, l addr.LineAddr
 	return acc
 }
 
-// peerService executes the peer-node side of a cross-node request: the
-// peer CA's lookup, an intra-node core snoop when its core-valid bits
-// demand one, the forward itself, and all peer-side state transitions.
-// It returns the service time at the peer, the data source class, the
-// forwarding cache level, and whether the peer retained the line dirty as
-// Owned (MOESI) — in which case memory was NOT updated and the directory
-// must keep routing requests at the peer.
-func (e *Engine) peerService(ent nodeEntry) (units.Time, Source, int, bool) {
-	lat := e.lat()
-	// The response carrying the forwarded data may be dropped and
-	// re-issued (fault injection).
-	e.faultSnoopDrop()
-	cost := nsT(lat.L3Pipe) + nsT(lat.NodeTransferPipe)
-	src := SrcPeerL3
-	fwdLevel := 0
-	dirty := ent.line.State.Dirty()
-
-	if y, need := e.soleOtherValidCore(ent, topology.CoreID(-1)); need {
-		rt := e.M.Leg(e.M.SliceEndpoint(ent.slice), e.M.CoreEndpoint(y)) +
-			e.M.Leg(e.M.CoreEndpoint(y), e.M.SliceEndpoint(ent.slice)) +
-			nsT(lat.PeerSnoopPipe)
-		lvl, st := e.M.Core(y).HighestLevelState(ent.line.Addr)
-		switch {
-		case st == cache.Modified && lvl == 1:
-			cost += rt + nsT(lat.FwdL1Extra)
-			src = SrcPeerCore
-			fwdLevel = 1
-			dirty = true
-		case st == cache.Modified:
-			cost += rt + nsT(lat.FwdL2Extra)
-			src = SrcPeerCore
-			fwdLevel = 2
-			dirty = true
-		default:
-			cost += rt
-			src = SrcPeerL3CoreSnoop
-		}
+// snoopMiss resolves a read miss under source or home snooping without a
+// directory. Every other node is snooped — by the requesting CA under
+// source snooping, by the home agent under home snooping — and the line
+// fills from the forwarding peer or from memory (snoopDataPath).
+func (e *Engine) snoopMiss(core topology.CoreID, rn topology.NodeID, l addr.LineAddr, tMiss units.Time, homeSnooped bool) Access {
+	sock := e.M.Topo.SocketOfNode(rn)
+	if homeSnooped {
+		sock = e.M.Topo.SocketOfAgent(e.M.HomeAgentOf(l))
 	}
-
-	// Peer-side transitions: every core copy in the peer node demotes to
-	// Shared; the L3 copy downgrades as the protocol prescribes — MESIF
-	// and MESI write forwarded dirty data back to the home (QPI RspFwdS
-	// semantics, the line is clean afterwards), MOESI keeps it dirty in
-	// the Owned state with memory left stale.
-	slice := e.M.Slice(ent.slice)
-	sock := e.M.Topo.SocketOfSlice(ent.slice)
-	bits := ent.line.CoreValid
-	for bit := 0; bits != 0; bit++ {
-		if bits&(1<<uint(bit)) == 0 {
-			continue
-		}
-		bits &^= 1 << uint(bit)
-		c := topology.CoreID(sock*e.M.Topo.Die.Cores() + bit)
-		if e.M.Core(c).HasValid(ent.line.Addr) {
-			e.M.Core(c).Downgrade(ent.line.Addr, cache.Shared)
-		} else {
-			slice.SetCoreValid(ent.line.Addr, bit, false)
-		}
+	e.broadcastSnoops(sock, rn, rn)
+	acc, fw, kept := e.snoopDataPath(core, rn, l, tMiss, homeSnooped)
+	if fw.ok {
+		e.fillAfterForward(core, rn, l, fw.node, kept)
+	} else {
+		e.fillFromMemory(core, rn, l)
 	}
-	st := ent.line.State
-	if dirty {
-		// The L3 copy was dirty, or a core forwarded a newer version
-		// the L3 absorbed during the transfer.
-		st = cache.Modified
-	}
-	next, writeback := e.M.Proto.DowngradeOnForward(st)
-	slice.Update(ent.line.Addr, func(ln *cache.Line) { ln.State = next })
-	if writeback {
-		e.M.HA(ent.line.Addr).DRAM.RecordWrite()
-	}
-	return cost, src, fwdLevel, next == cache.Owned
+	return acc
 }
 
-// dirAfterForward records a cross-node cache-to-cache forward in the COD
-// directory structures. When the servicing peer kept the line dirty as
-// Owned (MOESI; owner names its node), memory is stale: the home agent
-// tracks the owner with an owned directory-cache entry and pins the
-// in-memory state to snoop-all, so every later miss is routed at the
-// owner, never at memory. Otherwise the MESIF/MESI bookkeeping applies:
-// AllocateShared when the requester is outside the home node, a plain
-// shared note otherwise.
-func (e *Engine) dirAfterForward(l addr.LineAddr, rn, owner topology.NodeID, ownedKept bool) {
-	ha := e.M.HA(l)
-	if ha.Dir == nil {
-		return
-	}
-	home := e.M.MustHomeNode(l)
-	if ownedKept {
-		if owner != home && ha.HitME != nil {
-			e.hitmeAllocate(ha, l, directory.PresenceVector(0).With(int(owner)), directory.EntryOwned)
+// snoopDataPath prices where a miss's data comes from under source or home
+// snooping without a directory; reads and RFOs share it. A peer holding a
+// forwardable copy answers directly. Otherwise the home agent sends the
+// memory copy: under source snooping without waiting for the snoop
+// responses (speculative data return — the reason local memory stays at
+// 96.4 ns there while home snooping pays 108 ns), under home snooping only
+// once every response is in. For a forward it also returns the forwarding
+// node's entry and whether that node kept the line dirty as Owned.
+func (e *Engine) snoopDataPath(core topology.CoreID, rn topology.NodeID, l addr.LineAddr, tMiss units.Time, homeSnooped bool) (Access, nodeEntry, bool) {
+	if fw, ok := e.forwarderAmong(l, rn, rn); ok {
+		from, t := e.M.SliceEndpoint(e.M.ResponsibleCA(core, l)), tMiss
+		if homeSnooped {
+			agent, tHA := e.homeLeg(core, l, tMiss)
+			from, t = e.M.AgentEndpoint(agent), tHA+nsT(e.lat().HASnoopLaunch)
 		}
-		// An owner inside the home node needs no directory-cache entry:
-		// the mandatory local snoop finds it on every miss. Either way
-		// the in-memory state must not claim memory is valid.
-		ha.Dir.SetState(l, directory.SnoopAll)
-		return
+		acc, kept := e.forwardFrom(fw, from, core, t)
+		return acc, fw, kept
 	}
-	if rn != home {
-		e.allocateHitME(l, rn, directory.EntryShared)
-		return
-	}
-	// The requester is the home node; remote sharers remain.
-	if e.anyPeerHolds(l, home) && ha.Dir.State(l) == directory.RemoteInvalid {
-		ha.Dir.SetState(l, directory.SharedRemote)
-	}
-}
-
-// fillAfterForward installs the forwarded line at the requester: the node's
-// L3 takes the protocol's recipient state (MESIF hands the Forward
-// designation to the newest sharer; MESI and MOESI grant plain Shared),
-// the core receives a Shared copy.
-func (e *Engine) fillAfterForward(core topology.CoreID, rn topology.NodeID, l addr.LineAddr) {
-	e.fillL3(rn, l, e.M.Proto.RecipientState(), core)
-	e.fillCore(core, l, cache.Shared)
-}
-
-// sourceSnoopMiss resolves an L3 miss in source snoop mode: the requesting
-// CA broadcasts snoops to the peer CAs and to the home agent in parallel;
-// a peer holding M/E/F forwards directly, otherwise the home agent sends
-// the memory copy without waiting for the snoop responses (speculative
-// data return — the reason local memory stays at 96.4 ns here while home
-// snooping pays 108 ns).
-func (e *Engine) sourceSnoopMiss(core topology.CoreID, rn topology.NodeID, l addr.LineAddr, tMiss units.Time) Access {
-	lat := e.lat()
-	ca := e.M.ResponsibleCA(core, l)
-	// The requesting CA broadcasts to every peer node's CA.
-	srcSock := e.M.Topo.SocketOfNode(rn)
-	for n := 0; n < e.M.Topo.Nodes(); n++ {
-		if nn := topology.NodeID(n); nn != rn {
-			e.countSnoop(srcSock, nn)
-		}
-	}
-
-	if fw, ok := e.forwarderAmong(l, rn); ok {
-		legTo := e.M.Leg(e.M.SliceEndpoint(ca), e.M.SliceEndpoint(fw.slice))
-		service, src, flv, kept := e.peerService(fw)
-		legData := e.M.Leg(e.M.SliceEndpoint(fw.slice), e.M.CoreEndpoint(core))
-		e.fillAfterForward(core, rn, l)
-		e.dirAfterForward(l, rn, fw.node, kept)
-		return Access{
-			Latency:   tMiss + legTo + service + legData,
-			Source:    src,
-			RemoteFwd: true,
-			FwdLevel:  flv,
-		}
-	}
-
-	// Memory provides the data.
-	agent := e.M.HomeAgentOf(l)
+	agent, tHA := e.homeLeg(core, l, tMiss)
 	ha := e.M.HAs[agent]
-	legCH := e.M.Leg(e.M.SliceEndpoint(ca), e.M.AgentEndpoint(agent))
-	dramT := ha.DRAM.AccessTime(e.WorkingSet)
-	legHC := e.M.Leg(e.M.AgentEndpoint(agent), e.M.CoreEndpoint(core))
-	ha.DRAM.RecordRead()
-
-	grant := e.grantStateOnRead(l, rn)
-	coreState := cache.Shared
-	if grant == cache.Exclusive {
-		coreState = cache.Exclusive
+	wait := ha.DRAM.AccessTime(e.WorkingSet)
+	if homeSnooped {
+		wait = max(wait, e.snoopResponseWait(agent, rn, rn))
 	}
-	e.fillL3(rn, l, grant, core)
-	e.fillCore(core, l, coreState)
+	ha.DRAM.RecordRead()
 	return Access{
-		Latency:    tMiss + legCH + nsT(lat.HAPipe) + dramT + legHC,
+		Latency:    tHA + wait + e.M.Leg(e.M.AgentEndpoint(agent), e.M.CoreEndpoint(core)),
 		Source:     SrcMemory,
 		RemoteDRAM: e.M.MustHomeNode(l) != rn,
-	}
+	}, nodeEntry{}, false
 }
 
-// homeSnoopMiss resolves an L3 miss in home snoop mode: the CA forwards the
-// request to the home agent, which snoops the peer caching agents and only
-// releases memory data once the snoop responses are in.
-func (e *Engine) homeSnoopMiss(core topology.CoreID, rn topology.NodeID, l addr.LineAddr, tMiss units.Time) Access {
-	lat := e.lat()
-	ca := e.M.ResponsibleCA(core, l)
-	agent := e.M.HomeAgentOf(l)
-	ha := e.M.HAs[agent]
-	tHA := tMiss + e.M.Leg(e.M.SliceEndpoint(ca), e.M.AgentEndpoint(agent)) + nsT(lat.HAPipe)
-	// The home agent snoops every node except the requester's.
-	haSock := e.M.Topo.SocketOfAgent(agent)
-	for n := 0; n < e.M.Topo.Nodes(); n++ {
-		if nn := topology.NodeID(n); nn != rn {
-			e.countSnoop(haSock, nn)
-		}
-	}
-
-	if fw, ok := e.forwarderAmong(l, rn); ok {
-		legTo := e.M.Leg(e.M.AgentEndpoint(agent), e.M.SliceEndpoint(fw.slice))
-		service, src, flv, kept := e.peerService(fw)
-		legData := e.M.Leg(e.M.SliceEndpoint(fw.slice), e.M.CoreEndpoint(core))
-		e.fillAfterForward(core, rn, l)
-		e.dirAfterForward(l, rn, fw.node, kept)
-		return Access{
-			Latency:   tHA + nsT(lat.HASnoopLaunch) + legTo + service + legData,
-			Source:    src,
-			RemoteFwd: true,
-			FwdLevel:  flv,
-		}
-	}
-
-	// No forwarder: memory data is released after the snoop responses.
-	dramT := ha.DRAM.AccessTime(e.WorkingSet)
-	snoopWait := e.snoopResponseWait(agent, rn)
-	wait := dramT
-	if snoopWait > wait {
-		wait = snoopWait
-	}
-	legHC := e.M.Leg(e.M.AgentEndpoint(agent), e.M.CoreEndpoint(core))
-	ha.DRAM.RecordRead()
-
-	grant := e.grantStateOnRead(l, rn)
-	coreState := cache.Shared
-	if grant == cache.Exclusive {
-		coreState = cache.Exclusive
-	}
-	e.fillL3(rn, l, grant, core)
-	e.fillCore(core, l, coreState)
-	return Access{
-		Latency:    tHA + wait + legHC,
-		Source:     SrcMemory,
-		RemoteDRAM: e.M.MustHomeNode(l) != rn,
-	}
-}
-
-// snoopResponseWait returns how long the home agent waits, from the moment
-// it starts processing, for the snoop responses of every peer node except
-// the requester's, plus conflict resolution.
-func (e *Engine) snoopResponseWait(agent topology.AgentID, rn topology.NodeID) units.Time {
-	lat := e.lat()
-	var worst units.Time
-	for n := 0; n < e.M.Topo.Nodes(); n++ {
-		nn := topology.NodeID(n)
-		if nn == rn {
-			continue
-		}
-		caN := e.M.CAForNode(nn, 0) // representative slice for leg costing
-		rt := nsT(lat.HASnoopLaunch) +
-			e.M.Leg(e.M.AgentEndpoint(agent), e.M.SliceEndpoint(caN)) +
-			nsT(lat.TagPipe) +
-			e.M.Leg(e.M.SliceEndpoint(caN), e.M.AgentEndpoint(agent))
-		if rt > worst {
-			worst = rt
-		}
-	}
-	if worst == 0 {
-		return 0
-	}
-	// Any of the awaited responses may be dropped and re-issued (fault
-	// injection).
-	e.faultSnoopDrop()
-	return worst + nsT(lat.HAResolve)
-}
-
-// codMiss resolves an L3 miss in Cluster-on-Die mode: home snooping with
-// the HitME directory cache and the in-memory directory (Section IV-D).
+// codMiss resolves a read miss under home snooping with the DAS directory
+// (COD mode, Section IV-D): the HitME directory cache, then the in-memory
+// directory decide whom the home agent snoops.
 func (e *Engine) codMiss(core topology.CoreID, rn topology.NodeID, l addr.LineAddr, tMiss units.Time) Access {
 	lat := e.lat()
-	ca := e.M.ResponsibleCA(core, l)
-	agent := e.M.HomeAgentOf(l)
+	agent, tHA := e.homeLeg(core, l, tMiss)
 	ha := e.M.HAs[agent]
 	hn := e.M.MustHomeNode(l)
-	tHA := tMiss + e.M.Leg(e.M.SliceEndpoint(ca), e.M.AgentEndpoint(agent)) + nsT(lat.HAPipe)
-	legHC := e.M.Leg(e.M.AgentEndpoint(agent), e.M.CoreEndpoint(core))
+	from := e.M.AgentEndpoint(agent)
+	legHC := e.M.Leg(from, e.M.CoreEndpoint(core))
+	haSock := e.M.Topo.SocketOfAgent(agent)
 
 	// The local snoop in the home node is carried out independent of the
 	// directory state [5]; if the home node's L3 can forward, that data
-	// is on its way regardless of what the directory says.
-	var localFw *nodeEntry
-	if hn != rn {
-		if ent := e.l3EntryOf(hn, l); ent.ok && e.M.Proto.CanForward(ent.line.State) {
-			localFw = &ent
-		}
-	}
-	localArrival := func() (units.Time, Source, int, bool) {
-		legTo := e.M.Leg(e.M.AgentEndpoint(agent), e.M.SliceEndpoint(localFw.slice))
-		service, src, flv, kept := e.peerService(*localFw)
-		legData := e.M.Leg(e.M.SliceEndpoint(localFw.slice), e.M.CoreEndpoint(core))
-		return tHA + nsT(lat.HASnoopLaunch) + legTo + service + legData, src, flv, kept
-	}
-
-	// The mandatory local snoop at the home node.
-	haSock := e.M.Topo.SocketOfAgent(agent)
+	// is on its way regardless of what the directory says. localWins
+	// races it against an answer arriving at t: the forward wins when it
+	// is faster, or when the home node kept the line dirty as Owned
+	// (MOESI) — memory is stale then.
+	local, hasLocal := e.homeForwarder(l, rn, hn)
 	if hn != rn {
 		e.countSnoop(haSock, hn)
+	}
+	localWins := func(t units.Time) (Access, bool) {
+		if !hasLocal {
+			return Access{}, false
+		}
+		acc, kept := e.forwardFrom(local, from, core, tHA+nsT(lat.HASnoopLaunch))
+		if acc.Latency >= t && !kept {
+			return Access{}, false
+		}
+		e.fillAfterForward(core, rn, l, local.node, kept)
+		return acc, true
 	}
 
 	// 1) HitME directory cache.
 	if v, kind, hit := e.hitmeLookup(ha, l); hit {
-		if kind == directory.EntryOwned {
-			if owner := v.Sole(); v.Count() == 1 && topology.NodeID(owner) != rn {
-				if ent := e.l3EntryOf(topology.NodeID(owner), l); ent.ok && e.M.Proto.CanForward(ent.line.State) {
-					e.countSnoop(haSock, topology.NodeID(owner))
-					legTo := e.M.Leg(e.M.AgentEndpoint(agent), e.M.SliceEndpoint(ent.slice))
-					service, src, flv, kept := e.peerService(ent)
-					legData := e.M.Leg(e.M.SliceEndpoint(ent.slice), e.M.CoreEndpoint(core))
-					e.fillAfterForward(core, rn, l)
-					if kept {
-						// The owner stays dirty (MOESI): refresh its
-						// owned entry instead of degrading to shared.
-						e.dirAfterForward(l, rn, ent.node, true)
-					} else {
-						e.allocateHitME(l, rn, directory.EntryShared)
-					}
-					return Access{
-						Latency:     tHA + nsT(lat.DirCachePipe) + nsT(lat.HASnoopLaunch) + legTo + service + legData,
-						Source:      src,
-						DirCacheHit: true,
-						RemoteFwd:   true,
-						FwdLevel:    flv,
-					}
-				}
-			}
-			// Stale owned entry: fall through to the in-memory
-			// directory below after dropping it.
-			if ha.HitME != nil {
-				ha.HitME.Invalidate(l)
-			}
-		} else {
-			// Shared entry: the memory copy is valid; the home agent
-			// forwards it without snooping (Section VI-C, Figure 7),
-			// unless its own node's L3 answers faster.
+		if kind == directory.EntryShared {
+			// The memory copy is valid; the home agent forwards it
+			// without snooping (Section VI-C, Figure 7), unless its own
+			// node's L3 answers faster.
 			memT := tHA + nsT(lat.DirCachePipe) + ha.DRAM.AccessTime(e.WorkingSet) + legHC
-			if localFw != nil {
-				lt, src, flv, kept := localArrival()
-				// When the local holder kept the line dirty as Owned
-				// (MOESI), memory is stale and the forwarded data must
-				// win regardless of the latency race.
-				if lt < memT || kept {
-					e.fillAfterForward(core, rn, l)
-					e.dirAfterForward(l, rn, localFw.node, kept)
-					return Access{Latency: lt, Source: src, DirCacheHit: true, RemoteFwd: true, FwdLevel: flv}
+			acc, ok := localWins(memT)
+			if !ok {
+				ha.DRAM.RecordRead()
+				e.fillL3(rn, l, cache.Shared, core)
+				e.fillCore(core, l, cache.Shared)
+				if rn != hn {
+					e.hitmeAllocate(ha, l, v.With(int(rn)), directory.EntryShared)
 				}
+				acc = Access{Latency: memT, Source: SrcMemoryForward, RemoteDRAM: hn != rn}
 			}
-			ha.DRAM.RecordRead()
-			e.fillL3(rn, l, cache.Shared, core)
-			e.fillCore(core, l, cache.Shared)
-			if rn != hn && ha.HitME != nil {
-				e.hitmeAllocate(ha, l, v.With(int(rn)), directory.EntryShared)
-			}
-			return Access{
-				Latency:     memT,
-				Source:      SrcMemoryForward,
-				DirCacheHit: true,
-				RemoteDRAM:  hn != rn,
-			}
+			acc.DirCacheHit = true
+			return acc
 		}
+		if ent, ok := e.ownedForwarder(v, l, rn); ok {
+			e.countSnoop(haSock, ent.node)
+			acc, kept := e.forwardFrom(ent, from, core, tHA+nsT(lat.DirCachePipe)+nsT(lat.HASnoopLaunch))
+			e.fillAfterForward(core, rn, l, ent.node, kept)
+			acc.DirCacheHit = true
+			return acc
+		}
+		// Stale owned entry: drop it; the in-memory directory decides.
+		ha.HitME.Invalidate(l)
 	}
 
 	// 2) HitME miss: the in-memory directory bits arrive with the DRAM
 	// access.
-	dramT := ha.DRAM.AccessTime(e.WorkingSet)
-	tDir := tHA + dramT
-	dirState := e.faultDirectory(agent, ha, l, ha.Dir.State(l), rn, hn)
-
-	if dirState == directory.SnoopAll {
+	tDir := tHA + ha.DRAM.AccessTime(e.WorkingSet)
+	memT := tDir + legHC
+	snoopAll := e.faultDirectory(agent, ha, l, ha.Dir.State(l), rn, hn) == directory.SnoopAll
+	if snoopAll {
 		// Broadcast to every node except the requester's and the home
 		// node (whose CA was already snooped locally).
-		for n := 0; n < e.M.Topo.Nodes(); n++ {
-			if nn := topology.NodeID(n); nn != rn && nn != hn {
-				e.countSnoop(haSock, nn)
-			}
-		}
-		if fw, ok := e.forwarderAmongExcept(l, rn, hn); ok {
-			legTo := e.M.Leg(e.M.AgentEndpoint(agent), e.M.SliceEndpoint(fw.slice))
-			service, src, flv, fwKept := e.peerService(fw)
-			legData := e.M.Leg(e.M.SliceEndpoint(fw.slice), e.M.CoreEndpoint(core))
-			arrival := tDir + nsT(lat.HASnoopLaunch) + legTo + service + legData
-			if localFw != nil && !fwKept {
-				lt, lsrc, lflv, lkept := localArrival()
-				if lt < arrival || lkept {
-					e.fillAfterForward(core, rn, l)
-					e.dirAfterForward(l, rn, localFw.node, lkept)
-					return Access{Latency: lt, Source: lsrc, Broadcast: true, RemoteFwd: true, FwdLevel: lflv}
+		e.broadcastSnoops(haSock, rn, hn)
+		if fw, ok := e.forwarderAmong(l, rn, hn); ok {
+			acc, kept := e.forwardFrom(fw, from, core, tDir+nsT(lat.HASnoopLaunch))
+			if !kept {
+				if lacc, won := localWins(acc.Latency); won {
+					lacc.Broadcast = true
+					return lacc
 				}
 			}
-			e.fillAfterForward(core, rn, l)
-			e.dirAfterForward(l, rn, fw.node, fwKept)
-			return Access{Latency: arrival, Source: src, Broadcast: true, RemoteFwd: true, FwdLevel: flv}
+			e.fillAfterForward(core, rn, l, fw.node, kept)
+			acc.Broadcast = true
+			return acc
 		}
-		if localFw != nil {
-			// Only the home node's own L3 has the line; the local
-			// snoop forwards it while the (stale) broadcast drains.
-			lt, src, flv, kept := localArrival()
-			e.fillAfterForward(core, rn, l)
-			e.dirAfterForward(l, rn, localFw.node, kept)
-			return Access{Latency: lt, Source: src, Broadcast: true, RemoteFwd: true, FwdLevel: flv}
+		// If only the home node's own L3 holds the line, its local snoop
+		// forwards it while the (stale) broadcast drains.
+		if acc, won := localWins(never); won {
+			acc.Broadcast = true
+			return acc
 		}
-		// Stale snoop-all (silent L3 evictions, Table V): the home
-		// agent broadcast for nothing and must collect every response
-		// before releasing the memory copy.
-		wait := e.snoopResponseWaitExcept(agent, rn, hn)
-		ha.DRAM.RecordRead()
-		grant := e.grantStateOnRead(l, rn)
-		coreState := cache.Shared
-		if grant == cache.Exclusive {
-			coreState = cache.Exclusive
-		}
-		e.fillL3(rn, l, grant, core)
-		e.fillCore(core, l, coreState)
-		e.dirOnReadGrant(l, rn, grant)
-		return Access{
-			Latency:    tDir + wait + legHC,
-			Source:     SrcMemory,
-			Broadcast:  true,
-			RemoteDRAM: hn != rn,
-		}
-	}
-
-	// remote-invalid or shared: the memory copy is valid and no remote
-	// snoops are required; only the home node's local snoop competes.
-	memT := tDir + legHC
-	if localFw != nil {
-		lt, src, flv, kept := localArrival()
-		// A local Owned holder (MOESI) means memory is stale: the
-		// forwarded data must be used regardless of the latency race.
-		if lt < memT || kept {
-			e.fillAfterForward(core, rn, l)
-			e.dirAfterForward(l, rn, localFw.node, kept)
-			return Access{Latency: lt, Source: src, RemoteFwd: true, FwdLevel: flv}
-		}
+		// Stale snoop-all (silent L3 evictions, Table V): the home agent
+		// broadcast for nothing and must collect every response before
+		// releasing the memory copy.
+		memT += e.snoopResponseWait(agent, rn, hn)
+	} else if acc, won := localWins(memT); won {
+		// remote-invalid or shared: the memory copy is valid and no
+		// remote snoops are required; only the home node's local snoop
+		// competes.
+		return acc
 	}
 	ha.DRAM.RecordRead()
-	grant := e.grantStateOnRead(l, rn)
-	coreState := cache.Shared
-	if grant == cache.Exclusive {
-		coreState = cache.Exclusive
-	}
-	e.fillL3(rn, l, grant, core)
-	e.fillCore(core, l, coreState)
-	e.dirOnReadGrant(l, rn, grant)
-	return Access{
-		Latency:    memT,
-		Source:     SrcMemory,
-		RemoteDRAM: hn != rn,
-	}
-}
-
-// forwarderAmongExcept is forwarderAmong with two excluded nodes.
-func (e *Engine) forwarderAmongExcept(l addr.LineAddr, a, b topology.NodeID) (nodeEntry, bool) {
-	for n := 0; n < e.M.Topo.Nodes(); n++ {
-		nn := topology.NodeID(n)
-		if nn == a || nn == b {
-			continue
-		}
-		ent := e.l3EntryOf(nn, l)
-		if ent.ok && e.M.Proto.CanForward(ent.line.State) {
-			return ent, true
-		}
-	}
-	return nodeEntry{}, false
-}
-
-// snoopResponseWaitExcept is snoopResponseWait with the home node also
-// excluded (its local snoop is accounted separately in COD mode).
-func (e *Engine) snoopResponseWaitExcept(agent topology.AgentID, rn, hn topology.NodeID) units.Time {
-	lat := e.lat()
-	var worst units.Time
-	for n := 0; n < e.M.Topo.Nodes(); n++ {
-		nn := topology.NodeID(n)
-		if nn == rn || nn == hn {
-			continue
-		}
-		caN := e.M.CAForNode(nn, 0)
-		rt := nsT(lat.HASnoopLaunch) +
-			e.M.Leg(e.M.AgentEndpoint(agent), e.M.SliceEndpoint(caN)) +
-			nsT(lat.TagPipe) +
-			e.M.Leg(e.M.SliceEndpoint(caN), e.M.AgentEndpoint(agent))
-		if rt > worst {
-			worst = rt
-		}
-	}
-	if worst == 0 {
-		return 0
-	}
-	e.faultSnoopDrop()
-	return worst + nsT(lat.HAResolve)
+	e.dirOnReadGrant(l, rn, e.fillFromMemory(core, rn, l))
+	return Access{Latency: memT, Source: SrcMemory, Broadcast: snoopAll, RemoteDRAM: hn != rn}
 }

@@ -4,7 +4,6 @@ import (
 	"haswellep/internal/addr"
 	"haswellep/internal/cache"
 	"haswellep/internal/directory"
-	"haswellep/internal/machine"
 	"haswellep/internal/topology"
 	"haswellep/internal/units"
 )
@@ -26,55 +25,42 @@ func (e *Engine) writeLine(core topology.CoreID, l addr.LineAddr) Access {
 	cc := e.M.Core(core)
 	rn := e.M.Topo.NodeOfCore(core)
 
-	if st := cc.L1D.StateOf(l); st.Valid() {
-		switch st {
-		case cache.Modified:
-			cc.L1D.Touch(l)
-			return Access{Latency: nsT(lat.L1Hit), Source: SrcL1}
-		case cache.Exclusive:
-			// Silent E->M upgrade; the L3 is not informed.
-			cc.L1D.Touch(l)
+	switch lvl, st := cc.HighestLevelState(l); {
+	case lvl == 0:
+		return e.rfoMiss(core, rn, l)
+	case !st.Unique():
+		// A Shared copy: the CA is asked for ownership, which takes at
+		// least an L3 round trip plus — when other nodes hold the line —
+		// the invalidation acknowledgements.
+		e.faultStall()
+		return e.grantOwnership(core, rn, l, e.l3RoundTrip(core, l))
+	case lvl == 1:
+		// Modified writes in place; Exclusive upgrades to Modified
+		// silently, the L3 is not informed.
+		cc.L1D.Touch(l)
+		if st == cache.Exclusive {
 			cc.L1D.Update(l, func(ln *cache.Line) { ln.State = cache.Modified })
 			cc.L2.Update(l, func(ln *cache.Line) { ln.State = cache.Modified })
-			return Access{Latency: nsT(lat.L1Hit), Source: SrcL1}
-		default:
-			return e.upgradeShared(core, rn, l, nsT(lat.L1Hit))
 		}
-	}
-	if st := cc.L2.StateOf(l); st.Valid() {
-		switch st {
-		case cache.Modified, cache.Exclusive:
-			cc.L2.Touch(l)
-			cc.L2.Update(l, func(ln *cache.Line) { ln.State = cache.Modified })
-			if v, ev := cc.L1D.Insert(cache.Line{Addr: l, State: cache.Modified}); ev {
-				e.handleL1Victim(core, v)
-			}
-			return Access{Latency: nsT(lat.L2Hit), Source: SrcL2}
-		default:
-			return e.upgradeShared(core, rn, l, nsT(lat.L2Hit))
+		return Access{Latency: nsT(lat.L1Hit), Source: SrcL1}
+	default:
+		cc.L2.Touch(l)
+		cc.L2.Update(l, func(ln *cache.Line) { ln.State = cache.Modified })
+		if v, ev := cc.L1D.Insert(cache.Line{Addr: l, State: cache.Modified}); ev {
+			e.handleL1Victim(core, v)
 		}
+		return Access{Latency: nsT(lat.L2Hit), Source: SrcL2}
 	}
-	return e.rfoMiss(core, rn, l)
 }
 
-// upgradeShared turns a Shared copy into an exclusive Modified one: the CA
-// is asked for ownership and every other copy in the system is invalidated.
-// The store retires once ownership is granted, which takes at least an L3
-// round trip plus — when other nodes hold the line — the invalidation
-// acknowledgements.
-func (e *Engine) upgradeShared(core topology.CoreID, rn topology.NodeID, l addr.LineAddr, hitCost units.Time) Access {
-	lat := e.lat()
-	e.faultStall()
-	ca := e.M.ResponsibleCA(core, l)
-	t := nsT(lat.RequestLaunch) +
-		e.M.Leg(e.M.CoreEndpoint(core), e.M.SliceEndpoint(ca)) +
-		nsT(lat.L3Pipe) +
-		e.M.Leg(e.M.SliceEndpoint(ca), e.M.CoreEndpoint(core))
+// grantOwnership completes a store whose line the requesting node's L3
+// holds, answered by the CA at time t: the store retires once every other
+// node's copy is invalidated and the requester holds the line Modified.
+func (e *Engine) grantOwnership(core topology.CoreID, rn topology.NodeID, l addr.LineAddr, t units.Time) Access {
 	if e.anyPeerHolds(l, rn) {
 		t += e.invalidationWait(rn, l)
 	}
 	e.takeOwnership(core, rn, l, false)
-	_ = hitCost
 	return Access{Latency: t, Source: SrcL3}
 }
 
@@ -83,85 +69,33 @@ func (e *Engine) upgradeShared(core topology.CoreID, rn topology.NodeID, l addr.
 // invalidated and the requester ends up with the only (Modified) copy.
 func (e *Engine) rfoMiss(core topology.CoreID, rn topology.NodeID, l addr.LineAddr) Access {
 	lat := e.lat()
-	cc := e.M.Core(core)
-	_ = cc
 	e.faultStall()
-	ca := e.M.ResponsibleCA(core, l)
-	tReq := nsT(lat.RequestLaunch) + e.M.Leg(e.M.CoreEndpoint(core), e.M.SliceEndpoint(ca))
 
 	// A hit in the node's own L3 grants ownership after invalidating the
 	// other holders.
 	if ent := e.l3EntryOf(rn, l); ent.ok {
-		t := tReq + nsT(lat.L3Pipe) + e.M.Leg(e.M.SliceEndpoint(ent.slice), e.M.CoreEndpoint(core))
+		t := e.l3RoundTrip(core, l)
 		// A core of this node may hold a newer copy.
 		if y, need := e.soleOtherValidCore(ent, core); need {
-			rt := e.M.Leg(e.M.SliceEndpoint(ent.slice), e.M.CoreEndpoint(y)) +
-				e.M.Leg(e.M.CoreEndpoint(y), e.M.SliceEndpoint(ent.slice)) +
-				nsT(lat.SnoopPipe)
-			t += rt
+			t += e.coreRoundTrip(ent.slice, y, lat.SnoopPipe)
 		}
-		if e.anyPeerHolds(l, rn) {
-			t += e.invalidationWait(rn, l)
-		}
-		e.takeOwnership(core, rn, l, false)
-		return Access{Latency: t, Source: SrcL3}
+		return e.grantOwnership(core, rn, l, t)
 	}
 
 	// Full miss: fetch with ownership. The data path mirrors the read
-	// miss of the active snoop mode; peer copies are torn down.
-	tMiss := tReq + nsT(lat.TagPipe)
+	// miss of the active snoop mode; peer copies are torn down. The
+	// requester takes ownership right after the data path, so a MOESI
+	// peer's transiently retained Owned copy is torn down by
+	// takeOwnership — no directory bookkeeping needed for the forward.
+	tMiss := e.requestLeg(core, l) + nsT(lat.TagPipe)
 	var data Access
-	switch {
-	case e.M.Cfg.Mode == machine.SourceSnoop:
-		data = e.rfoDataPath(core, rn, l, tMiss, false)
-	case e.M.HA(l).Dir != nil:
+	if e.directoryMiss(l) {
 		data = e.rfoDataPathCOD(core, rn, l, tMiss)
-	default:
-		data = e.rfoDataPath(core, rn, l, tMiss, true)
+	} else {
+		data, _, _ = e.snoopDataPath(core, rn, l, tMiss, e.M.Cfg.Mode.HomeSnooped())
 	}
 	e.takeOwnership(core, rn, l, true)
 	return data
-}
-
-// rfoDataPath computes the data-arrival latency of an RFO in the
-// source-snoop and home-snoop modes.
-func (e *Engine) rfoDataPath(core topology.CoreID, rn topology.NodeID, l addr.LineAddr, tMiss units.Time, homeSnooped bool) Access {
-	lat := e.lat()
-	ca := e.M.ResponsibleCA(core, l)
-	agent := e.M.HomeAgentOf(l)
-	ha := e.M.HAs[agent]
-
-	if fw, ok := e.forwarderAmong(l, rn); ok {
-		var legTo units.Time
-		base := tMiss
-		if homeSnooped {
-			base += e.M.Leg(e.M.SliceEndpoint(ca), e.M.AgentEndpoint(agent)) + nsT(lat.HAPipe) + nsT(lat.HASnoopLaunch)
-			legTo = e.M.Leg(e.M.AgentEndpoint(agent), e.M.SliceEndpoint(fw.slice))
-		} else {
-			legTo = e.M.Leg(e.M.SliceEndpoint(ca), e.M.SliceEndpoint(fw.slice))
-		}
-		// The requester takes ownership right after the data path, so a
-		// MOESI peer's transiently retained Owned copy is torn down by
-		// takeOwnership — no directory bookkeeping needed here.
-		service, src, flv, _ := e.peerService(fw)
-		legData := e.M.Leg(e.M.SliceEndpoint(fw.slice), e.M.CoreEndpoint(core))
-		return Access{Latency: base + legTo + service + legData, Source: src, RemoteFwd: true, FwdLevel: flv}
-	}
-
-	tHA := tMiss + e.M.Leg(e.M.SliceEndpoint(ca), e.M.AgentEndpoint(agent)) + nsT(lat.HAPipe)
-	dramT := ha.DRAM.AccessTime(e.WorkingSet)
-	wait := dramT
-	if homeSnooped {
-		if sw := e.snoopResponseWait(agent, rn); sw > wait {
-			wait = sw
-		}
-	}
-	ha.DRAM.RecordRead()
-	return Access{
-		Latency:    tHA + wait + e.M.Leg(e.M.AgentEndpoint(agent), e.M.CoreEndpoint(core)),
-		Source:     SrcMemory,
-		RemoteDRAM: e.M.MustHomeNode(l) != rn,
-	}
 }
 
 // rfoDataPathCOD computes the data-arrival latency of an RFO in COD mode.
@@ -169,95 +103,51 @@ func (e *Engine) rfoDataPath(core topology.CoreID, rn topology.NodeID, l addr.Li
 // invalidating every sharer — so a snoop-all line always broadcasts.
 func (e *Engine) rfoDataPathCOD(core topology.CoreID, rn topology.NodeID, l addr.LineAddr, tMiss units.Time) Access {
 	lat := e.lat()
-	ca := e.M.ResponsibleCA(core, l)
-	agent := e.M.HomeAgentOf(l)
+	agent, tHA := e.homeLeg(core, l, tMiss)
 	ha := e.M.HAs[agent]
 	hn := e.M.MustHomeNode(l)
-	tHA := tMiss + e.M.Leg(e.M.SliceEndpoint(ca), e.M.AgentEndpoint(agent)) + nsT(lat.HAPipe)
-	legHC := e.M.Leg(e.M.AgentEndpoint(agent), e.M.CoreEndpoint(core))
+	from := e.M.AgentEndpoint(agent)
 
 	// Directed snoop on a HitME hit.
 	if v, kind, hit := e.hitmeLookup(ha, l); hit && kind == directory.EntryOwned {
-		if owner := v.Sole(); v.Count() == 1 && topology.NodeID(owner) != rn {
-			if ent := e.l3EntryOf(topology.NodeID(owner), l); ent.ok && e.M.Proto.CanForward(ent.line.State) {
-				legTo := e.M.Leg(e.M.AgentEndpoint(agent), e.M.SliceEndpoint(ent.slice))
-				service, src, flv, _ := e.peerService(ent)
-				legData := e.M.Leg(e.M.SliceEndpoint(ent.slice), e.M.CoreEndpoint(core))
-				return Access{
-					Latency:     tHA + nsT(lat.DirCachePipe) + nsT(lat.HASnoopLaunch) + legTo + service + legData,
-					Source:      src,
-					DirCacheHit: true,
-					RemoteFwd:   true,
-					FwdLevel:    flv,
-				}
-			}
+		if ent, ok := e.ownedForwarder(v, l, rn); ok {
+			acc, _ := e.forwardFrom(ent, from, core, tHA+nsT(lat.DirCachePipe)+nsT(lat.HASnoopLaunch))
+			acc.DirCacheHit = true
+			return acc
 		}
 	}
 
-	dramT := ha.DRAM.AccessTime(e.WorkingSet)
-	tDir := tHA + dramT
+	tDir := tHA + ha.DRAM.AccessTime(e.WorkingSet)
 	dirState := e.faultDirectory(agent, ha, l, ha.Dir.State(l), rn, hn)
 
 	// Local snoop at the home node.
-	if hn != rn {
-		if ent := e.l3EntryOf(hn, l); ent.ok && e.M.Proto.CanForward(ent.line.State) {
-			legTo := e.M.Leg(e.M.AgentEndpoint(agent), e.M.SliceEndpoint(ent.slice))
-			service, src, flv, _ := e.peerService(ent)
-			legData := e.M.Leg(e.M.SliceEndpoint(ent.slice), e.M.CoreEndpoint(core))
-			t := tHA + nsT(lat.HASnoopLaunch) + legTo + service + legData
-			if dirState == directory.SnoopAll {
-				// Ownership still needs the broadcast acks.
-				if w := e.snoopResponseWaitExcept(agent, rn, hn); tDir+w > t {
-					t = tDir + w
-				}
-			}
-			return Access{Latency: t, Source: src, Broadcast: dirState == directory.SnoopAll, FwdLevel: flv}
+	if local, ok := e.homeForwarder(l, rn, hn); ok {
+		acc, _ := e.forwardFrom(local, from, core, tHA+nsT(lat.HASnoopLaunch))
+		// This path does not book the home node's forward as a remote
+		// forward, unlike the read path.
+		acc.RemoteFwd = false
+		if dirState == directory.SnoopAll {
+			// Ownership still needs the broadcast acks.
+			acc.Broadcast = true
+			acc.Latency = max(acc.Latency, tDir+e.snoopResponseWait(agent, rn, hn))
 		}
+		return acc
 	}
 
-	if dirState == directory.RemoteInvalid {
-		ha.DRAM.RecordRead()
-		return Access{Latency: tDir + legHC, Source: SrcMemory, RemoteDRAM: hn != rn}
+	// Shared or snoop-all: invalidating broadcast; remote-invalid: no
+	// snoops at all.
+	memT := tDir + e.M.Leg(from, e.M.CoreEndpoint(core))
+	broadcast := dirState != directory.RemoteInvalid
+	if broadcast {
+		if fw, ok := e.forwarderAmong(l, rn, hn); ok {
+			acc, _ := e.forwardFrom(fw, from, core, tDir+nsT(lat.HASnoopLaunch))
+			acc.Broadcast = true
+			return acc
+		}
+		memT += e.snoopResponseWait(agent, rn, hn)
 	}
-
-	// shared or snoop-all: invalidating broadcast.
-	if fw, ok := e.forwarderAmongExcept(l, rn, hn); ok {
-		legTo := e.M.Leg(e.M.AgentEndpoint(agent), e.M.SliceEndpoint(fw.slice))
-		service, src, flv, _ := e.peerService(fw)
-		legData := e.M.Leg(e.M.SliceEndpoint(fw.slice), e.M.CoreEndpoint(core))
-		return Access{Latency: tDir + nsT(lat.HASnoopLaunch) + legTo + service + legData, Source: src, Broadcast: true, RemoteFwd: true, FwdLevel: flv}
-	}
-	wait := e.snoopResponseWaitExcept(agent, rn, hn)
 	ha.DRAM.RecordRead()
-	return Access{Latency: tDir + wait + legHC, Source: SrcMemory, Broadcast: true, RemoteDRAM: hn != rn}
-}
-
-// invalidationWait estimates the time to collect invalidation
-// acknowledgements from every node other than the requester's.
-func (e *Engine) invalidationWait(rn topology.NodeID, l addr.LineAddr) units.Time {
-	lat := e.lat()
-	ca := e.M.CAForNode(rn, l)
-	var worst units.Time
-	for n := 0; n < e.M.Topo.Nodes(); n++ {
-		nn := topology.NodeID(n)
-		if nn == rn {
-			continue
-		}
-		if ent := e.l3EntryOf(nn, l); ent.ok {
-			rt := e.M.Leg(e.M.SliceEndpoint(ca), e.M.SliceEndpoint(ent.slice)) +
-				nsT(lat.TagPipe) +
-				e.M.Leg(e.M.SliceEndpoint(ent.slice), e.M.SliceEndpoint(ca))
-			if rt > worst {
-				worst = rt
-			}
-		}
-	}
-	if worst > 0 {
-		// Any of the awaited acknowledgements may be dropped and
-		// re-issued (fault injection).
-		e.faultSnoopDrop()
-	}
-	return worst
+	return Access{Latency: memT, Source: SrcMemory, Broadcast: broadcast, RemoteDRAM: hn != rn}
 }
 
 // takeOwnership finalizes a store: every other copy in the system is
@@ -342,15 +232,8 @@ func (e *Engine) takeOwnership(core topology.CoreID, rn topology.NodeID, l addr.
 // back to the home memory, and the directory returns to remote-invalid.
 func (e *Engine) Flush(core topology.CoreID, l addr.LineAddr) Access {
 	e.begin(l)
-	lat := e.lat()
 	e.faultStall()
-	ca := e.M.ResponsibleCA(core, l)
-	agent := e.M.HomeAgentOf(l)
-	t := nsT(lat.RequestLaunch) +
-		e.M.Leg(e.M.CoreEndpoint(core), e.M.SliceEndpoint(ca)) +
-		nsT(lat.L3Pipe) +
-		e.M.Leg(e.M.SliceEndpoint(ca), e.M.AgentEndpoint(agent)) +
-		nsT(lat.HAPipe)
+	_, t := e.homeLeg(core, l, e.requestLeg(core, l)+nsT(e.lat().L3Pipe))
 	e.invalidateEverywhere(l)
 	return e.finish(OpFlush, core, l, Access{Latency: t, Source: SrcMemory})
 }

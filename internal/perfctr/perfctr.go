@@ -69,15 +69,11 @@ func AllEvents() []Event {
 // Counts is one sample of all events.
 type Counts map[Event]uint64
 
-// Monitor samples an engine's statistics into counter readings. Engine
-// statistics cover everything except the local/remote DRAM split, which
-// needs the per-access flag: route accesses through Read/Write on the
-// monitor (or call Observe) to capture it.
+// Monitor samples an engine's statistics into counter readings: every
+// event is the delta of the engine's counters since the last Reset.
 type Monitor struct {
 	e    *mesif.Engine
 	base mesif.Stats
-	// Forward counters fed by Observe.
-	remoteDRAM uint64
 }
 
 // New attaches a monitor to an engine and starts counting from zero.
@@ -93,14 +89,6 @@ func (m *Monitor) Engine() *mesif.Engine { return m.e }
 // Reset zeroes the monitor (subsequent readings are deltas from here).
 func (m *Monitor) Reset() {
 	m.base = m.e.Stats()
-	m.remoteDRAM = 0
-}
-
-// Observe books an access's per-access flags (remote-DRAM attribution).
-func (m *Monitor) Observe(acc mesif.Access) {
-	if acc.RemoteDRAM {
-		m.remoteDRAM++
-	}
 }
 
 // ReadCounters computes the counter values accumulated since the last
@@ -113,10 +101,10 @@ func (m *Monitor) ReadCounters() Counts {
 	src := func(s mesif.Source) uint64 {
 		return cur.BySource[s] - m.base.BySource[s]
 	}
-	dramServed := src(mesif.SrcMemory) + src(mesif.SrcMemoryForward)
-	local := dramServed
-	if m.remoteDRAM < local {
-		local -= m.remoteDRAM
+	remote := d(func(s mesif.Stats) uint64 { return s.RemoteDRAM })
+	local := src(mesif.SrcMemory) + src(mesif.SrcMemoryForward)
+	if remote < local {
+		local -= remote
 	} else {
 		local = 0
 	}
@@ -129,7 +117,7 @@ func (m *Monitor) ReadCounters() Counts {
 		XSNPHitM:      src(mesif.SrcCoreForward),
 		XSNPHit:       src(mesif.SrcL3CoreSnoop),
 		LocalDRAM:     local,
-		RemoteDRAM:    m.remoteDRAM,
+		RemoteDRAM:    remote,
 		RemoteFwd:     src(mesif.SrcPeerL3) + src(mesif.SrcPeerL3CoreSnoop) + src(mesif.SrcPeerCore),
 		SnoopsSent:    d(func(s mesif.Stats) uint64 { return s.SnoopsSent }),
 		SnoopsQPI:     d(func(s mesif.Stats) uint64 { return s.SnoopsQPI }),

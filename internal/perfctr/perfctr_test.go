@@ -23,7 +23,7 @@ func TestL1HitCounting(t *testing.T) {
 	p.Exclusive(0, r)
 	m.Reset()
 	for _, l := range r.Lines() {
-		m.Observe(e.Read(0, l))
+		e.Read(0, l)
 	}
 	c := m.ReadCounters()
 	if c[LoadsRetired] != 128 || c[L1Hit] != 128 {
@@ -41,7 +41,7 @@ func TestXSNPEvents(t *testing.T) {
 	p.Modified(1, r1)
 	m.Reset()
 	for _, l := range r1.Lines() {
-		m.Observe(e.Read(0, l))
+		e.Read(0, l)
 	}
 	c := m.ReadCounters()
 	if c[XSNPHitM] != uint64(len(r1.Lines())) {
@@ -59,7 +59,6 @@ func TestXSNPEvents(t *testing.T) {
 			break
 		}
 		acc := e.Read(0, l)
-		m.Observe(acc)
 		if acc.Source == mesif.SrcL3CoreSnoop {
 			snooped++
 		}
@@ -81,7 +80,7 @@ func TestRemoteEvents(t *testing.T) {
 	p.EvictPrivate(c12, r)
 	m.Reset()
 	for _, l := range r.Lines() {
-		m.Observe(e.Read(0, l))
+		e.Read(0, l)
 	}
 	c := m.ReadCounters()
 	if c[RemoteFwd] != uint64(len(r.Lines())) {
@@ -95,7 +94,7 @@ func TestRemoteEvents(t *testing.T) {
 	p.FlushAll(c12, r2)
 	m.Reset()
 	for _, l := range r2.Lines() {
-		m.Observe(e.Read(0, l))
+		e.Read(0, l)
 	}
 	c = m.ReadCounters()
 	if c[RemoteDRAM] != uint64(len(r2.Lines())) {
@@ -112,7 +111,7 @@ func TestDirectoryEvents(t *testing.T) {
 	p.Shared(r, 6, 12)
 	m.Reset()
 	for _, l := range r.Lines() {
-		m.Observe(e.Read(0, l))
+		e.Read(0, l)
 	}
 	c := m.ReadCounters()
 	if c[DirCacheHits] == 0 {
@@ -131,7 +130,7 @@ func TestBroadcastEvent(t *testing.T) {
 	e.EvictDirectoryCache(r)
 	m.Reset()
 	for _, l := range r.Lines() {
-		m.Observe(e.Read(0, l))
+		e.Read(0, l)
 	}
 	c := m.ReadCounters()
 	if c[DirBroadcasts] != uint64(len(r.Lines())) {
@@ -144,7 +143,7 @@ func TestResetAndString(t *testing.T) {
 	r, _ := e.M.AllocOnNode(0, 4*units.KiB)
 	p.Exclusive(0, r)
 	for _, l := range r.Lines() {
-		m.Observe(e.Read(0, l))
+		e.Read(0, l)
 	}
 	m.Reset()
 	c := m.ReadCounters()

@@ -74,20 +74,6 @@ func envelopeErr(format string, args ...any) *QueryError {
 	return &QueryError{Index: -1, Detail: fmt.Sprintf(format, args...)}
 }
 
-// parseMode maps the wire snoop-mode name.
-func parseMode(s string) (machine.SnoopMode, error) {
-	switch s {
-	case "source":
-		return machine.SourceSnoop, nil
-	case "home":
-		return machine.HomeSnoop, nil
-	case "cod":
-		return machine.COD, nil
-	default:
-		return 0, fmt.Errorf("unknown snoop mode %q (choose source, home, or cod)", s)
-	}
-}
-
 // Spec converts one wire query into its canonical what-if spec, applying
 // wire-level defaults (die 12) before the kind-level canonicalization.
 func (q Query) Spec() (experiments.WhatIfSpec, error) {
@@ -116,7 +102,7 @@ func (q Query) Spec() (experiments.WhatIfSpec, error) {
 		return zero, fmt.Errorf("unknown die variant %d (choose 8 or 12)", q.Die)
 	}
 	if q.Mode != "" {
-		m, err := parseMode(q.Mode)
+		m, err := machine.ParseSnoopMode(q.Mode)
 		if err != nil {
 			return zero, err
 		}

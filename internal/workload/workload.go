@@ -260,6 +260,7 @@ func statsDelta(a, b mesif.Stats) mesif.Stats {
 		DirHits:    b.DirHits - a.DirHits,
 		SnoopsSent: b.SnoopsSent - a.SnoopsSent,
 		SnoopsQPI:  b.SnoopsQPI - a.SnoopsQPI,
+		RemoteDRAM: b.RemoteDRAM - a.RemoteDRAM,
 		BySource:   make(map[mesif.Source]uint64),
 	}
 	//hsw:unordered elementwise map subtraction; the result compares equal regardless of visit order
