@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -43,6 +44,14 @@ func TestStatePredicates(t *testing.T) {
 	}
 	if !Shared.SharedLike() || !Forward.SharedLike() || Exclusive.SharedLike() {
 		t.Error("SharedLike wrong")
+	}
+}
+
+// TestLineIs16Bytes pins the packed line layout: a byte-wide State beside
+// the 32-bit core-valid mask keeps a line at 16 bytes.
+func TestLineIs16Bytes(t *testing.T) {
+	if got := reflect.TypeOf(Line{}).Size(); got != 16 {
+		t.Errorf("Line is %d bytes, want 16", got)
 	}
 }
 

@@ -6,7 +6,8 @@ import (
 	"haswellep/internal/addr"
 )
 
-// Line is one cache line entry.
+// Line is one cache line entry. It packs into 16 bytes and holds no
+// pointers, so a cache's line array costs the collector nothing to scan.
 type Line struct {
 	Addr  addr.LineAddr
 	State State
@@ -16,10 +17,9 @@ type Line struct {
 	CoreValid uint32
 }
 
-// set is one associativity set; ways are kept in LRU order, most recently
-// used first.
+// set is the header of one associativity set. Its ways live in the
+// cache's line array (see Cache.ways), most recently used first.
 type set struct {
-	ways []Line
 	// filt is a 64-bit tag-presence filter over the resident ways: bit
 	// filterBit(addr) is set for every cached line. A clear bit proves a
 	// miss without scanning the ways — the common case on the coherence
@@ -28,6 +28,8 @@ type set struct {
 	// only cost the scan; the filter is recomputed exactly on every
 	// removal, so false negatives cannot occur.
 	filt uint64
+	// n is the number of resident ways.
+	n int
 }
 
 // filterBit hashes a line address to one of 64 filter bits. The set index
@@ -37,13 +39,13 @@ func filterBit(l addr.LineAddr) uint64 {
 	return 1 << ((uint64(l) * 0x9e3779b97f4a7c15) >> 58)
 }
 
-// recompute rebuilds the presence filter from the resident ways.
-func (s *set) recompute() {
+// filterOf computes the presence filter of a set's resident ways.
+func filterOf(ways []Line) uint64 {
 	f := uint64(0)
-	for i := range s.ways {
-		f |= filterBit(s.ways[i].Addr)
+	for i := range ways {
+		f |= filterBit(ways[i].Addr)
 	}
-	s.filt = f
+	return f
 }
 
 // Geometry describes a cache's size parameters.
@@ -85,8 +87,14 @@ func (g Geometry) Validate() error {
 // Cache is a set-associative cache with true LRU replacement. It tracks
 // line presence and MESIF state only; data contents are immaterial to the
 // timing behavior being modeled.
+//
+// Every line lives in one flat array allocated with the cache: set i owns
+// lines[i*ways : (i+1)*ways], of which the first sets[i].n are resident.
+// The line array and the set headers are allocated once, however many
+// sets there are, and neither holds a pointer for the collector to scan.
 type Cache struct {
 	geom    Geometry
+	lines   []Line
 	sets    []set
 	setMask uint64
 	// Stats counters.
@@ -99,34 +107,55 @@ func New(g Geometry) *Cache {
 		panic("cache.New: " + err.Error())
 	}
 	n := g.Sets()
-	c := &Cache{geom: g, sets: make([]set, n), setMask: uint64(n - 1)}
-	for i := range c.sets {
-		c.sets[i].ways = make([]Line, 0, g.Ways)
+	return &Cache{
+		geom:    g,
+		lines:   make([]Line, n*g.Ways),
+		sets:    make([]set, n),
+		setMask: uint64(n - 1),
 	}
-	return c
 }
 
 // Geometry returns the cache's geometry.
 func (c *Cache) Geometry() Geometry { return c.geom }
 
-// setOf returns the set index for a line address.
-func (c *Cache) setOf(l addr.LineAddr) *set {
-	return &c.sets[uint64(l)&c.setMask]
+// ways returns set si's resident ways, MRU first. The slice's capacity is
+// the full associativity, so a fill grows it in place.
+func (c *Cache) ways(si int) []Line {
+	base := si * c.geom.Ways
+	return c.lines[base : base+c.sets[si].n : base+c.geom.Ways]
+}
+
+// find locates a line: its set header, the set's resident ways, and the
+// line's way index, or -1 when it is absent. A clear filter bit proves
+// absence without scanning the ways.
+func (c *Cache) find(l addr.LineAddr) (*set, []Line, int) {
+	si := int(uint64(l) & c.setMask)
+	s, w := &c.sets[si], c.ways(si)
+	if s.filt&filterBit(l) != 0 {
+		for i := range w {
+			if w[i].Addr == l && w[i].State.Valid() {
+				return s, w, i
+			}
+		}
+	}
+	return s, w, -1
+}
+
+// remove drops way i of a set.
+func (s *set) remove(w []Line, i int) {
+	copy(w[i:], w[i+1:])
+	s.n--
+	s.filt = filterOf(w[:s.n])
 }
 
 // Lookup returns the line's entry without touching LRU order. The boolean
 // reports presence with a valid state.
 func (c *Cache) Lookup(l addr.LineAddr) (Line, bool) {
-	s := c.setOf(l)
-	if s.filt&filterBit(l) == 0 {
+	_, w, i := c.find(l)
+	if i < 0 {
 		return Line{}, false
 	}
-	for i := range s.ways {
-		if s.ways[i].Addr == l && s.ways[i].State.Valid() {
-			return s.ways[i], true
-		}
-	}
-	return Line{}, false
+	return w[i], true
 }
 
 // Contains reports whether the line is present in a valid state.
@@ -147,21 +176,16 @@ func (c *Cache) StateOf(l addr.LineAddr) State {
 // Touch records a use of the line, moving it to MRU position. It returns
 // true if the line was present.
 func (c *Cache) Touch(l addr.LineAddr) bool {
-	s := c.setOf(l)
-	if s.filt&filterBit(l) == 0 {
+	_, w, i := c.find(l)
+	if i < 0 {
 		c.misses++
 		return false
 	}
-	for i, w := range s.ways {
-		if w.Addr == l && w.State.Valid() {
-			copy(s.ways[1:i+1], s.ways[:i])
-			s.ways[0] = w
-			c.hits++
-			return true
-		}
-	}
-	c.misses++
-	return false
+	ln := w[i]
+	copy(w[1:i+1], w[:i])
+	w[0] = ln
+	c.hits++
+	return true
 }
 
 // Insert installs (or updates) a line in the given state at MRU position.
@@ -171,106 +195,80 @@ func (c *Cache) Insert(line Line) (victim Line, evicted bool) {
 	if !line.State.Valid() {
 		panic(fmt.Sprintf("cache %s: inserting invalid line %#x", c.geom.Name, line.Addr))
 	}
-	s := c.setOf(line.Addr)
-	if s.filt&filterBit(line.Addr) != 0 {
-		for i, w := range s.ways {
-			if w.Addr == line.Addr && w.State.Valid() {
-				copy(s.ways[1:i+1], s.ways[:i])
-				s.ways[0] = line
-				return Line{}, false
-			}
+	s, w, i := c.find(line.Addr)
+	if i < 0 {
+		// A miss takes a free way, or the LRU way when the set is full.
+		if len(w) < cap(w) {
+			w = w[:len(w)+1]
+			s.n++
+			s.filt |= filterBit(line.Addr)
+		} else {
+			victim, evicted = w[len(w)-1], true
+			c.evictions++
 		}
+		i = len(w) - 1
 	}
-	if len(s.ways) < c.geom.Ways {
-		s.ways = append(s.ways, Line{})
-		copy(s.ways[1:], s.ways[:len(s.ways)-1])
-		s.ways[0] = line
-		s.filt |= filterBit(line.Addr)
-		return Line{}, false
+	copy(w[1:i+1], w[:i])
+	w[0] = line
+	if evicted {
+		s.filt = filterOf(w)
 	}
-	victim = s.ways[len(s.ways)-1]
-	copy(s.ways[1:], s.ways[:len(s.ways)-1])
-	s.ways[0] = line
-	s.recompute()
-	c.evictions++
-	return victim, true
+	return victim, evicted
 }
 
 // Update rewrites the entry of a present line in place (state and core-valid
 // bits) without changing LRU order. It returns false when absent.
 func (c *Cache) Update(l addr.LineAddr, fn func(*Line)) bool {
-	s := c.setOf(l)
-	for i := range s.ways {
-		if s.ways[i].Addr == l && s.ways[i].State.Valid() {
-			fn(&s.ways[i])
-			if !s.ways[i].State.Valid() {
-				// State transitioned to Invalid: drop the way.
-				copy(s.ways[i:], s.ways[i+1:])
-				s.ways = s.ways[:len(s.ways)-1]
-				s.recompute()
-			}
-			return true
-		}
+	s, w, i := c.find(l)
+	if i < 0 {
+		return false
 	}
-	return false
+	fn(&w[i])
+	if !w[i].State.Valid() {
+		// State transitioned to Invalid: drop the way.
+		s.remove(w, i)
+	}
+	return true
 }
 
 // Invalidate removes the line, returning its last entry.
 func (c *Cache) Invalidate(l addr.LineAddr) (Line, bool) {
-	s := c.setOf(l)
-	if s.filt&filterBit(l) == 0 {
+	s, w, i := c.find(l)
+	if i < 0 {
 		return Line{}, false
 	}
-	for i, w := range s.ways {
-		if w.Addr == l && w.State.Valid() {
-			copy(s.ways[i:], s.ways[i+1:])
-			s.ways = s.ways[:len(s.ways)-1]
-			s.recompute()
-			return w, true
-		}
-	}
-	return Line{}, false
+	ln := w[i]
+	s.remove(w, i)
+	return ln, true
 }
 
 // VictimIfMiss returns the line that would be evicted if l were inserted
 // now, without modifying the cache.
 func (c *Cache) VictimIfMiss(l addr.LineAddr) (Line, bool) {
-	s := c.setOf(l)
-	if s.filt&filterBit(l) != 0 {
-		for i := range s.ways {
-			if s.ways[i].Addr == l && s.ways[i].State.Valid() {
-				return Line{}, false
-			}
-		}
-	}
-	if len(s.ways) < c.geom.Ways {
+	_, w, i := c.find(l)
+	if i >= 0 || len(w) < cap(w) {
 		return Line{}, false
 	}
-	return s.ways[len(s.ways)-1], true
+	return w[len(w)-1], true
 }
 
 // Len returns the number of valid lines currently cached.
 func (c *Cache) Len() int {
 	n := 0
 	for i := range c.sets {
-		n += len(c.sets[i].ways)
+		n += c.sets[i].n
 	}
 	return n
 }
 
 // Clear removes every line.
-func (c *Cache) Clear() {
-	for i := range c.sets {
-		c.sets[i].ways = c.sets[i].ways[:0]
-		c.sets[i].filt = 0
-	}
-}
+func (c *Cache) Clear() { clear(c.sets) }
 
 // ForEach calls fn for every valid line. Iteration order is set-major,
 // MRU-first; fn must not mutate the cache.
 func (c *Cache) ForEach(fn func(Line)) {
-	for i := range c.sets {
-		for _, w := range c.sets[i].ways {
+	for si := range c.sets {
+		for _, w := range c.ways(si) {
 			fn(w)
 		}
 	}

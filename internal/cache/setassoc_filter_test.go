@@ -27,19 +27,19 @@ func TestFilterNeverFalseNegative(t *testing.T) {
 	audit := func(step int) {
 		t.Helper()
 		for si := range c.sets {
-			s := &c.sets[si]
-			for i := range s.ways {
-				if s.filt&filterBit(s.ways[i].Addr) == 0 {
-					t.Fatalf("step %d: set %d filter misses resident line %#x", step, si, s.ways[i].Addr)
+			w := c.ways(si)
+			for i := range w {
+				if c.sets[si].filt&filterBit(w[i].Addr) == 0 {
+					t.Fatalf("step %d: set %d filter misses resident line %#x", step, si, w[i].Addr)
 				}
 			}
 		}
 		for _, l := range lines {
 			want, wantOK := Line{}, false
-			s := c.setOf(l)
-			for i := range s.ways {
-				if s.ways[i].Addr == l && s.ways[i].State.Valid() {
-					want, wantOK = s.ways[i], true
+			w := c.ways(int(uint64(l) & c.setMask))
+			for i := range w {
+				if w[i].Addr == l && w[i].State.Valid() {
+					want, wantOK = w[i], true
 				}
 			}
 			got, ok := c.Lookup(l)

@@ -10,8 +10,9 @@ package cache
 
 import "fmt"
 
-// State is a coherence state of a cached line.
-type State int
+// State is a coherence state of a cached line. It is a byte so that a
+// cache Line packs into 16 bytes.
+type State uint8
 
 // The coherence states: the five MESIF states (Section IV-A) plus MOESI's
 // Owned. Invalid is the zero value so an absent line naturally reads as

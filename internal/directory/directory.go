@@ -333,7 +333,6 @@ type hitmeEntry struct {
 	tag    addr.LineAddr
 	vector PresenceVector
 	kind   EntryKind
-	valid  bool
 }
 
 // HitMECacheBytes is the capacity of one home agent's directory cache
@@ -354,7 +353,12 @@ const hitmeWays = 8
 // of shared lines from memory without a snoop broadcast even though the
 // in-memory directory says snoop-all.
 type HitME struct {
-	sets [][]hitmeEntry // per set, MRU first
+	// entries holds every set's ways in one array allocated with the
+	// cache: set i owns entries[i*hitmeWays : (i+1)*hitmeWays], of which
+	// the first counts[i] are resident, most recently used first. Clear
+	// zeroes the counts, so refilling after a reset allocates nothing.
+	entries []hitmeEntry
+	counts  []uint8
 
 	hits, misses, allocs, evictions uint64
 }
@@ -371,7 +375,7 @@ func NewHitMESized(bytes int64) *HitME {
 	if nsets < 1 {
 		nsets = 1
 	}
-	return &HitME{sets: make([][]hitmeEntry, nsets)}
+	return &HitME{entries: make([]hitmeEntry, nsets*hitmeWays), counts: make([]uint8, nsets)}
 }
 
 // setOf returns the set index for a line.
@@ -379,86 +383,93 @@ func (h *HitME) setOf(l addr.LineAddr) int {
 	// Multiplicative hash then modulo; the set count is not a power of
 	// two (896 sets), so plain modulo indexing is used.
 	x := uint64(l) * 0x9e3779b97f4a7c15
-	return int((x >> 32) % uint64(len(h.sets)))
+	return int((x >> 32) % uint64(len(h.counts)))
+}
+
+// set returns set si's resident entries, MRU first. The slice's capacity
+// is the full associativity, so an allocation grows it in place.
+func (h *HitME) set(si int) []hitmeEntry {
+	base := si * hitmeWays
+	return h.entries[base : base+int(h.counts[si]) : base+hitmeWays]
+}
+
+// find locates a line: its set index, the set's resident entries, and the
+// line's index among them, or -1 when it is absent.
+func (h *HitME) find(l addr.LineAddr) (int, []hitmeEntry, int) {
+	si := h.setOf(l)
+	set := h.set(si)
+	for i := range set {
+		if set[i].tag == l {
+			return si, set, i
+		}
+	}
+	return si, set, -1
 }
 
 // Lookup returns the presence vector and kind for a line and whether the
 // directory cache holds it. A hit refreshes LRU order.
 func (h *HitME) Lookup(l addr.LineAddr) (PresenceVector, EntryKind, bool) {
-	set := h.sets[h.setOf(l)]
-	for i, e := range set {
-		if e.valid && e.tag == l {
-			copy(set[1:i+1], set[:i])
-			set[0] = e
-			h.hits++
-			return e.vector, e.kind, true
-		}
+	_, set, i := h.find(l)
+	if i < 0 {
+		h.misses++
+		return 0, EntryShared, false
 	}
-	h.misses++
-	return 0, EntryShared, false
+	e := set[i]
+	copy(set[1:i+1], set[:i])
+	set[0] = e
+	h.hits++
+	return e.vector, e.kind, true
 }
 
 // Peek returns the presence vector and kind without touching LRU order or
 // counters.
 func (h *HitME) Peek(l addr.LineAddr) (PresenceVector, EntryKind, bool) {
-	for _, e := range h.sets[h.setOf(l)] {
-		if e.valid && e.tag == l {
-			return e.vector, e.kind, true
-		}
+	_, set, i := h.find(l)
+	if i < 0 {
+		return 0, EntryShared, false
 	}
-	return 0, EntryShared, false
+	return set[i].vector, set[i].kind, true
 }
 
 // Allocate installs or updates the entry for a line. When the set is full
 // the LRU entry is evicted; the evicted line is returned so the home agent
 // can account for the stale snoop-all state it leaves behind in memory.
 func (h *HitME) Allocate(l addr.LineAddr, v PresenceVector, kind EntryKind) (evictedLine addr.LineAddr, evicted bool) {
-	si := h.setOf(l)
-	set := h.sets[si]
-	for i, e := range set {
-		if e.valid && e.tag == l {
-			copy(set[1:i+1], set[:i])
-			set[0] = hitmeEntry{tag: l, vector: v, kind: kind, valid: true}
-			return 0, false
+	si, set, i := h.find(l)
+	if i < 0 {
+		// A miss takes a free way, or the LRU way when the set is full.
+		h.allocs++
+		if len(set) < cap(set) {
+			set = set[:len(set)+1]
+			h.counts[si]++
+		} else {
+			evictedLine, evicted = set[len(set)-1].tag, true
+			h.evictions++
 		}
+		i = len(set) - 1
 	}
-	h.allocs++
-	if len(set) < hitmeWays {
-		set = append(set, hitmeEntry{})
-		copy(set[1:], set[:len(set)-1])
-		set[0] = hitmeEntry{tag: l, vector: v, kind: kind, valid: true}
-		h.sets[si] = set
-		return 0, false
-	}
-	victim := set[len(set)-1]
-	copy(set[1:], set[:len(set)-1])
-	set[0] = hitmeEntry{tag: l, vector: v, kind: kind, valid: true}
-	h.evictions++
-	return victim.tag, true
+	copy(set[1:i+1], set[:i])
+	set[0] = hitmeEntry{tag: l, vector: v, kind: kind}
+	return evictedLine, evicted
 }
 
 // Invalidate drops a line's entry if present.
 func (h *HitME) Invalidate(l addr.LineAddr) bool {
-	si := h.setOf(l)
-	set := h.sets[si]
-	for i, e := range set {
-		if e.valid && e.tag == l {
-			copy(set[i:], set[i+1:])
-			h.sets[si] = set[:len(set)-1]
-			return true
-		}
+	si, set, i := h.find(l)
+	if i < 0 {
+		return false
 	}
-	return false
+	copy(set[i:], set[i+1:])
+	h.counts[si]--
+	return true
 }
 
 // ForEach calls fn for every valid entry. Iteration order is set-major,
 // MRU-first; fn must not mutate the directory cache.
 func (h *HitME) ForEach(fn func(addr.LineAddr, PresenceVector, EntryKind)) {
-	for _, set := range h.sets {
-		for _, e := range set {
-			if e.valid {
-				fn(e.tag, e.vector, e.kind)
-			}
+	for si := range h.counts {
+		for _, e := range h.set(si) {
+			fn(e.tag, e.vector, e.kind)
 		}
 	}
 }
@@ -466,20 +477,18 @@ func (h *HitME) ForEach(fn func(addr.LineAddr, PresenceVector, EntryKind)) {
 // Len returns the number of valid entries.
 func (h *HitME) Len() int {
 	n := 0
-	for _, set := range h.sets {
-		n += len(set)
+	for _, c := range h.counts {
+		n += int(c)
 	}
 	return n
 }
 
 // Capacity returns the maximum number of entries.
-func (h *HitME) Capacity() int { return len(h.sets) * hitmeWays }
+func (h *HitME) Capacity() int { return len(h.entries) }
 
 // Clear drops every entry and zeroes counters.
 func (h *HitME) Clear() {
-	for i := range h.sets {
-		h.sets[i] = nil
-	}
+	clear(h.counts)
 	h.hits, h.misses, h.allocs, h.evictions = 0, 0, 0, 0
 }
 

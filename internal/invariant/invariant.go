@@ -317,7 +317,7 @@ func (c *Checker) CheckAll() []Violation {
 type sweepEnt struct {
 	line addr.LineAddr
 	cv   uint32 // L3 core-valid bits
-	st   uint8  // cache.State (fits: the state enum is tiny)
+	st   cache.State
 	kind uint8  // entL3..entHitME
 	idx  uint16 // slice id (entL3) or core id (entL1/entL2)
 }
@@ -341,16 +341,16 @@ func (c *Checker) gatherMachine() {
 	for s := range m.L3 {
 		si := uint16(s)
 		m.L3[s].ForEach(func(ln cache.Line) {
-			c.ents = append(c.ents, sweepEnt{line: ln.Addr, cv: ln.CoreValid, st: uint8(ln.State), kind: entL3, idx: si})
+			c.ents = append(c.ents, sweepEnt{line: ln.Addr, cv: ln.CoreValid, st: ln.State, kind: entL3, idx: si})
 		})
 	}
 	for i := range m.Cores {
 		ci := uint16(i)
 		m.Cores[i].L1D.ForEach(func(ln cache.Line) {
-			c.ents = append(c.ents, sweepEnt{line: ln.Addr, st: uint8(ln.State), kind: entL1, idx: ci})
+			c.ents = append(c.ents, sweepEnt{line: ln.Addr, st: ln.State, kind: entL1, idx: ci})
 		})
 		m.Cores[i].L2.ForEach(func(ln cache.Line) {
-			c.ents = append(c.ents, sweepEnt{line: ln.Addr, st: uint8(ln.State), kind: entL2, idx: ci})
+			c.ents = append(c.ents, sweepEnt{line: ln.Addr, st: ln.State, kind: entL2, idx: ci})
 		})
 	}
 	for _, ha := range m.HAs {
@@ -418,20 +418,20 @@ func (c *Checker) walk() {
 		j := i
 		for ; j < len(ents) && ents[j].line == l && ents[j].kind == entL3; j++ {
 			c.noteL3(l, topology.SliceID(ents[j].idx),
-				cache.Line{Addr: l, State: cache.State(ents[j].st), CoreValid: ents[j].cv})
+				cache.Line{Addr: l, State: ents[j].st, CoreValid: ents[j].cv})
 		}
 		for j < len(ents) && ents[j].line == l && (ents[j].kind == entL1 || ents[j].kind == entL2) {
 			core := int(ents[j].idx)
 			var s1, s2 cache.State
 			if ents[j].kind == entL1 {
-				s1 = cache.State(ents[j].st)
+				s1 = ents[j].st
 				j++
 				if j < len(ents) && ents[j].line == l && ents[j].kind == entL2 && int(ents[j].idx) == core {
-					s2 = cache.State(ents[j].st)
+					s2 = ents[j].st
 					j++
 				}
 			} else {
-				s2 = cache.State(ents[j].st)
+				s2 = ents[j].st
 				j++
 			}
 			c.noteCore(l, core, s1, s2)

@@ -287,6 +287,17 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestNewAllocatesPerCache: every cache keeps its lines in one array, so
+// building the paper's 2 × 12-core COD system costs allocations per cache,
+// not per set (the test system has about 63,000 sets).
+func TestNewAllocatesPerCache(t *testing.T) {
+	if avg := testing.AllocsPerRun(3, func() {
+		MustNew(TestSystem(COD))
+	}); avg > 1000 {
+		t.Errorf("building the COD test system allocates %.0f times, want at most 1000", avg)
+	}
+}
+
 func TestArchComparison(t *testing.T) {
 	rows := ArchComparison()
 	if len(rows) != 15 {

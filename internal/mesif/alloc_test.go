@@ -7,6 +7,7 @@ import (
 	"haswellep/internal/coherence"
 	"haswellep/internal/machine"
 	"haswellep/internal/mesif"
+	"haswellep/internal/topology"
 )
 
 // The steady-state transaction paths of a healthy engine (no fault
@@ -100,6 +101,32 @@ func TestCapacityStreamAllocationFree(t *testing.T) {
 
 		if avg := testing.AllocsPerRun(3, stream); avg != 0 {
 			t.Errorf("capacity stream allocates %.1f times per pass, want 0", avg)
+		}
+	})
+}
+
+// TestResetCycleAllocationFree: a machine reset keeps every lookup
+// structure's storage, so the traffic after it allocates nothing. Each
+// cycle resets the machine, then runs a cross-node exchange that enters
+// the HitME cache where there is one: a line homed on node 1 is written by
+// node 0's first core and read by the last node's first core (a forward to
+// a requester outside the home node), then the two swap roles.
+func TestResetCycleAllocationFree(t *testing.T) {
+	forEachSystem(t, func(t *testing.T, e *mesif.Engine) {
+		l := lineOn(t, e, 1)
+		a := e.M.Topo.CoresOfNode(0)[0]
+		b := e.M.Topo.CoresOfNode(topology.NodeID(e.M.Topo.Nodes() - 1))[0]
+		cycle := func() {
+			e.M.Reset()
+			e.Write(a, l)
+			e.Read(b, l)
+			e.Write(b, l)
+			e.Read(a, l)
+		}
+		cycle() // warm: first-touch DRAM page state and directory growth
+
+		if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+			t.Errorf("reset + cross-node cycle allocates %.1f times per cycle, want 0", avg)
 		}
 	})
 }

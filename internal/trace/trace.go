@@ -387,6 +387,9 @@ func Apply(m *machine.Machine, ev Event) error {
 		if int(ev.Node) < 0 || int(ev.Node) >= m.Topo.Nodes() {
 			return fmt.Errorf("trace: node %d out of range", ev.Node)
 		}
+		if ev.State < int(cache.Invalid) || ev.State > int(cache.Owned) {
+			return fmt.Errorf("trace: %d is not a cache state", ev.State)
+		}
 		sl := m.CAForNode(ev.Node, ev.Line)
 		st := cache.State(ev.State)
 		if st == cache.Invalid {

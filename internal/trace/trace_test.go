@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"haswellep/internal/addr"
+	"haswellep/internal/cache"
 	"haswellep/internal/machine"
 	"haswellep/internal/mesif"
 	"haswellep/internal/topology"
@@ -193,6 +194,28 @@ func TestApplyRejectsNonCorruptions(t *testing.T) {
 	for _, k := range []EventKind{EvOp, EvAlloc, EvReset} {
 		if err := Apply(m, Event{Kind: k}); err == nil {
 			t.Errorf("Apply accepted kind %v", k)
+		}
+	}
+}
+
+// TestApplyRejectsUnknownL3State: a recorded L3 state outside the cache
+// states fails instead of wrapping into the byte-wide cache.State, and
+// leaves the line as it was.
+func TestApplyRejectsUnknownL3State(t *testing.T) {
+	m, e, _ := newRig(t, 0)
+	l := m.MustAlloc(0, addr.LineSize).Base.Line()
+	e.Read(0, l)
+	sl := m.CAForNode(0, l)
+	want := m.Slice(sl).StateOf(l)
+	if !want.Valid() {
+		t.Fatalf("node 0's L3 does not hold line %#x after a read", uint64(l))
+	}
+	for _, st := range []int{-1, int(cache.Owned) + 1, 256} {
+		if err := Apply(m, Event{Kind: EvCorruptL3, Line: l, State: st}); err == nil {
+			t.Errorf("Apply accepted L3 state %d", st)
+		}
+		if got := m.Slice(sl).StateOf(l); got != want {
+			t.Errorf("after L3 state %d: line is %v, want %v", st, got, want)
 		}
 	}
 }
